@@ -228,8 +228,12 @@ impl CounterRegistry {
 
     /// Adds `delta` to counter `name` (saturating; created at 0).
     pub fn add(&mut self, name: &str, delta: u64) {
-        let c = self.counters.entry_or_insert(name);
-        *c = c.saturating_add(delta);
+        upsert(
+            &mut self.counters,
+            name,
+            || 0,
+            |c| *c = c.saturating_add(delta),
+        );
     }
 
     /// Adds one to counter `name`.
@@ -249,16 +253,13 @@ impl CounterRegistry {
 
     /// Sets gauge `name` to `value`.
     pub fn set_gauge(&mut self, name: &str, value: f64) {
-        self.gauges.insert(name.to_owned(), value);
+        upsert(&mut self.gauges, name, || value, |g| *g = value);
     }
 
     /// Raises gauge `name` to `value` if larger (the merge rule, usable
     /// directly for high-water marks).
     pub fn gauge_max(&mut self, name: &str, value: f64) {
-        let g = self.gauges.entry(name.to_owned()).or_insert(f64::MIN);
-        if value > *g {
-            *g = value;
-        }
+        upsert(&mut self.gauges, name, || f64::MIN, |g| raise(g, value));
     }
 
     /// Current value of gauge `name`.
@@ -268,10 +269,9 @@ impl CounterRegistry {
 
     /// Records `value` into histogram `name`.
     pub fn observe(&mut self, name: &str, value: u64) {
-        self.histograms
-            .entry(name.to_owned())
-            .or_default()
-            .observe(value);
+        upsert(&mut self.histograms, name, Histogram::default, |h| {
+            h.observe(value);
+        });
     }
 
     /// Histogram `name`, if any value was observed.
@@ -316,10 +316,7 @@ impl CounterRegistry {
             *c = c.saturating_add(v);
         }
         for (k, &v) in &other.gauges {
-            let g = self.gauges.entry(k.clone()).or_insert(f64::MIN);
-            if v > *g {
-                *g = v;
-            }
+            raise(self.gauges.entry(k.clone()).or_insert(f64::MIN), v);
         }
         for (k, h) in &other.histograms {
             self.histograms.entry(k.clone()).or_default().merge(h);
@@ -335,18 +332,16 @@ impl CounterRegistry {
     /// combined registry, alongside the un-prefixed cluster rollup.
     pub fn merge_namespaced(&mut self, prefix: &str, other: &CounterRegistry) {
         for (k, &v) in &other.counters {
-            let name = format!("{prefix}{k}");
-            let c = self.counters.entry_or_insert(&name);
+            let c = self.counters.entry(format!("{prefix}{k}")).or_insert(0);
             *c = c.saturating_add(v);
         }
         for (k, &v) in &other.gauges {
-            let g = self
-                .gauges
-                .entry(format!("{prefix}{k}"))
-                .or_insert(f64::MIN);
-            if v > *g {
-                *g = v;
-            }
+            raise(
+                self.gauges
+                    .entry(format!("{prefix}{k}"))
+                    .or_insert(f64::MIN),
+                v,
+            );
         }
         for (k, h) in &other.histograms {
             self.histograms
@@ -374,18 +369,29 @@ impl CounterRegistry {
     }
 }
 
-/// `entry(name.to_owned()).or_insert(0)` without allocating on the hot
-/// (existing-key) path.
-trait EntryOrInsert {
-    fn entry_or_insert(&mut self, name: &str) -> &mut u64;
+/// Applies `update` to `map[name]`, first inserting `init()` when the key
+/// is absent: one lookup when the key exists, and the key `String` is
+/// allocated only on first insert (unlike `entry(name.to_owned())`, which
+/// allocates on every call).
+fn upsert<V>(
+    map: &mut BTreeMap<String, V>,
+    name: &str,
+    init: impl FnOnce() -> V,
+    update: impl FnOnce(&mut V),
+) {
+    if let Some(v) = map.get_mut(name) {
+        update(v);
+    } else {
+        let mut v = init();
+        update(&mut v);
+        map.insert(name.to_owned(), v);
+    }
 }
 
-impl EntryOrInsert for BTreeMap<String, u64> {
-    fn entry_or_insert(&mut self, name: &str) -> &mut u64 {
-        if !self.contains_key(name) {
-            self.insert(name.to_owned(), 0);
-        }
-        self.get_mut(name).expect("just inserted")
+/// The gauge merge rule: keep the larger value.
+fn raise(gauge: &mut f64, value: f64) {
+    if value > *gauge {
+        *gauge = value;
     }
 }
 
@@ -689,6 +695,40 @@ mod tests {
         r.add("cache.hits", 4);
         let names: Vec<_> = r.counters_under("sim.dram").map(|(k, _)| k).collect();
         assert_eq!(names, vec!["sim.dram.reads", "sim.dram.writes"]);
+    }
+
+    #[test]
+    fn first_gauge_max_on_a_fresh_key_records_the_value() {
+        let mut r = CounterRegistry::new();
+        r.gauge_max("fresh", -3.5);
+        assert_eq!(r.gauge("fresh"), Some(-3.5));
+        r.gauge_max("fresh", -7.0);
+        assert_eq!(r.gauge("fresh"), Some(-3.5));
+        r.set_gauge("set", 2.0);
+        r.set_gauge("set", 1.0);
+        assert_eq!(r.gauge("set"), Some(1.0));
+    }
+
+    #[test]
+    fn single_lookup_updates_export_the_same_counters() {
+        // Fresh keys and repeat hits interleaved, in non-sorted order: the
+        // export is name-ordered with every total exact.
+        let mut r = CounterRegistry::new();
+        for i in 0..3u64 {
+            r.inc("serve.tenant.beta.submitted");
+            r.add("serve.lanes.occupied", 4 + i);
+            r.inc("serve.tenant.alpha.submitted");
+            r.observe("serve.latency_ps", 100 * i);
+            r.gauge_max("serve.queue.depth_hw", i as f64);
+        }
+        r.add("serve.requests.shed", u64::MAX);
+        r.inc("serve.requests.shed");
+        assert_eq!(
+            crate::to_counters_json(&r),
+            "{\n  \"serve.lanes.occupied\": 15,\n  \"serve.requests.shed\": 18446744073709551615,\n  \"serve.tenant.alpha.submitted\": 3,\n  \"serve.tenant.beta.submitted\": 3\n}\n"
+        );
+        assert_eq!(r.histogram("serve.latency_ps").unwrap().count(), 3);
+        assert_eq!(r.gauge("serve.queue.depth_hw"), Some(2.0));
     }
 
     #[test]

@@ -1,7 +1,6 @@
 //! The batch coalescer: packing compatible queued requests into lanes.
 
-use crate::queue::AdmissionQueue;
-use crate::request::Request;
+use crate::queue::{AdmissionQueue, Queued};
 
 /// Removes the scheduler-chosen `anchor` request from `queue` plus up to
 /// `cap - 1` compatible companions, oldest-first, preserving the order of
@@ -29,11 +28,11 @@ use crate::request::Request;
 /// # Panics
 ///
 /// Panics if `anchor` is out of range or `cap` is zero.
-pub fn take_batch(queue: &mut AdmissionQueue, anchor: usize, cap: usize) -> Vec<Request> {
+pub fn take_batch<T: Queued>(queue: &mut AdmissionQueue<T>, anchor: usize, cap: usize) -> Vec<T> {
     assert!(cap >= 1, "batch capacity must be at least 1");
     let anchor_req = queue.remove_at(anchor);
     let mut batch = vec![anchor_req];
-    if batch[0].exclusive {
+    if batch[0].request().exclusive {
         return batch;
     }
     queue.drain_batchable_into(cap - 1, &mut batch);
@@ -44,6 +43,7 @@ pub fn take_batch(queue: &mut AdmissionQueue, anchor: usize, cap: usize) -> Vec<
 mod tests {
     use super::*;
     use crate::queue::ShedPolicy;
+    use crate::request::Request;
 
     fn queue_with(reqs: Vec<Request>) -> AdmissionQueue {
         let mut q = AdmissionQueue::new(64);

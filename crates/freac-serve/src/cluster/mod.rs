@@ -14,11 +14,13 @@
 //!
 //! Shards are pumped in index order, but their terminal events are merged
 //! and re-sorted by `(time, tenant, seq, kind)` before the run hook sees
-//! them, and all routing state (rendezvous rankings, the round-robin
-//! cursor, the pending heap) iterates canonically — so traces, completion
-//! hashes, and merged counters are a pure function of the submitted
-//! request set and the configuration, never of registration or submission
-//! order. A 1-shard cluster replays exactly the schedule the plain
+//! them, and all routing state (rendezvous rankings hashed from kernel
+//! names, the round-robin cursor, the arrival queue ordered by
+//! [`Request::order_key`]) is independent of the dense ids names are
+//! interned to — so traces, completion hashes, and merged counters are a
+//! pure function of the submitted request set and the configuration,
+//! never of registration or submission order. A 1-shard cluster replays
+//! exactly the schedule the plain
 //! [`Server`] produces: routing at inclusive epoch boundaries plus the
 //! prefix-stability of `run_until` deliver every arrival to the shard
 //! before its clock reaches it.
@@ -31,8 +33,7 @@
 //! on the calling thread — so parallel stepping is byte-identical to
 //! sequential, which the cluster proptest oracle asserts.
 
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
+use std::collections::{HashMap, HashSet};
 use std::sync::{mpsc, Arc};
 
 use freac_core::{Accelerator, AcceleratorTile};
@@ -42,8 +43,9 @@ use freac_probe::CounterRegistry;
 use freac_sim::Time;
 
 use crate::error::ServeError;
+use crate::pending::{next_id, Pending, PendingQueue};
 use crate::request::{Completion, Outcome, Request, Shed, ShedReason};
-use crate::server::{Pending, RequestProfile, ServeConfig, ServeReport, Server, TenantSummary};
+use crate::server::{RequestProfile, ServeConfig, ServeReport, Server, TenantKeys, TenantSummary};
 
 mod autoscale;
 mod router;
@@ -153,10 +155,10 @@ struct Shard {
 
 /// One shard dispatched to a pool worker for an epoch of pumping.
 type ShardJob = (usize, Shard, Time);
-/// A pumped shard's epoch outcome: the shard back, plus its events.
-type ShardEpoch = (Shard, Result<Vec<Outcome>, ServeError>);
+/// A pumped shard back from its worker, with the pump's result.
+type ShardEpoch = (Shard, Result<(), ServeError>);
 /// A worker's reply, labelled by shard index for in-order reinstall.
-type ShardDone = (usize, Shard, Result<Vec<Outcome>, ServeError>);
+type ShardDone = (usize, Shard, Result<(), ServeError>);
 
 /// The result of draining a cluster.
 #[derive(Debug, Clone)]
@@ -202,10 +204,21 @@ pub struct Cluster {
     cfg: ClusterConfig,
     shards: Vec<Shard>,
     router: Router,
-    pending: BinaryHeap<Reverse<Pending>>,
-    submitted_ids: BTreeSet<(String, u64, u32)>,
-    tenant_weights: BTreeMap<String, u64>,
-    kernels: BTreeSet<String>,
+    pending: PendingQueue,
+    /// `(tenant id, seq, retries)` of every accepted submission.
+    submitted_ids: HashSet<(u32, u64, u32)>,
+    /// Name → dense id; the ids match every shard's (all shards register
+    /// the same names in the same order).
+    tenant_ids: HashMap<String, u32>,
+    kernel_ids: HashMap<String, u32>,
+    /// Per tenant id: `(name, weight)`.
+    tenants: Vec<(String, u64)>,
+    /// Per tenant id: arrivals the router shed against the budget.
+    budget_sheds: Vec<u64>,
+    /// Per shard: the `cluster.route.shard.<i>` counter name.
+    route_keys: Vec<String>,
+    /// Per-arrival shard backlogs, reused across routing decisions.
+    backlogs: Vec<usize>,
     /// Cluster-level metrics only (`cluster.*`); shard probes are merged
     /// in at report time.
     probes: CounterRegistry,
@@ -235,10 +248,16 @@ impl Cluster {
             router: Router::new(cfg.route, cfg.shards),
             cfg,
             shards,
-            pending: BinaryHeap::new(),
-            submitted_ids: BTreeSet::new(),
-            tenant_weights: BTreeMap::new(),
-            kernels: BTreeSet::new(),
+            pending: PendingQueue::default(),
+            submitted_ids: HashSet::new(),
+            tenant_ids: HashMap::new(),
+            kernel_ids: HashMap::new(),
+            tenants: Vec::new(),
+            budget_sheds: Vec::new(),
+            route_keys: (0..cfg.shards)
+                .map(|i| format!("cluster.route.shard.{i}"))
+                .collect(),
+            backlogs: Vec::with_capacity(cfg.shards),
             probes: CounterRegistry::new(),
             router_sheds: Vec::new(),
             now: 0,
@@ -303,7 +322,9 @@ impl Cluster {
             sh.server
                 .register_prepared(name, Arc::clone(&accel), Arc::clone(&plan), profile)?;
         }
-        self.kernels.insert(name.to_owned());
+        let id = next_id(self.kernel_ids.len())?;
+        self.router.add_kernel(name);
+        self.kernel_ids.insert(name.to_owned(), id);
         Ok(())
     }
 
@@ -336,7 +357,10 @@ impl Cluster {
         for sh in &mut self.shards {
             sh.server.add_tenant(name, weight)?;
         }
-        self.tenant_weights.insert(name.to_owned(), weight);
+        let id = next_id(self.tenants.len())?;
+        self.tenant_ids.insert(name.to_owned(), id);
+        self.tenants.push((name.to_owned(), weight));
+        self.budget_sheds.push(0);
         Ok(())
     }
 
@@ -359,14 +383,13 @@ impl Cluster {
     /// Rejects unknown tenants/kernels and duplicate
     /// `(tenant, seq, retries)` identities, cluster-wide.
     pub fn submit(&mut self, req: Request) -> Result<(), ServeError> {
-        if !self.tenant_weights.contains_key(&req.tenant) {
+        let Some(&tenant) = self.tenant_ids.get(&req.tenant) else {
             return Err(ServeError::UnknownTenant(req.tenant));
-        }
-        if !self.kernels.contains(&req.kernel) {
+        };
+        let Some(&kernel) = self.kernel_ids.get(&req.kernel) else {
             return Err(ServeError::UnknownKernel(req.kernel));
-        }
-        let id = (req.tenant.clone(), req.seq, req.retries);
-        if !self.submitted_ids.insert(id) {
+        };
+        if !self.submitted_ids.insert((tenant, req.seq, req.retries)) {
             return Err(ServeError::DuplicateRequest {
                 tenant: req.tenant,
                 seq: req.seq,
@@ -374,7 +397,11 @@ impl Cluster {
             });
         }
         self.probes.inc("cluster.requests.submitted");
-        self.pending.push(Reverse(Pending(req)));
+        self.pending.push(Pending {
+            tenant,
+            kernel,
+            req,
+        });
         Ok(())
     }
 
@@ -457,12 +484,8 @@ impl Cluster {
                 let done_tx = done_tx.clone();
                 scope.spawn(move || {
                     while let Ok((i, mut shard, epoch_end)) = rx.recv() {
-                        let mut local: Vec<Outcome> = Vec::new();
-                        let r = shard.server.run_until(epoch_end, &mut |o: &Outcome| {
-                            local.push(o.clone());
-                            Vec::new()
-                        });
-                        if done_tx.send((i, shard, r.map(|()| local))).is_err() {
+                        let r = shard.server.run_until(epoch_end, &mut no_follow_ups);
+                        if done_tx.send((i, shard, r)).is_err() {
                             return;
                         }
                     }
@@ -491,7 +514,7 @@ impl Cluster {
     /// Simulated time of the next arrival or shard event, or `None` when
     /// fully drained.
     fn next_event_ps(&self) -> Option<Time> {
-        let own = self.pending.peek().map(|Reverse(p)| p.0.arrival_ps);
+        let own = self.pending.peek().map(|p| p.req.arrival_ps);
         let shard = self
             .shards
             .iter()
@@ -546,17 +569,20 @@ impl Cluster {
     where
         F: FnMut(&Outcome) -> Vec<Request>,
     {
-        while let Some(Reverse(p)) = self.pending.peek() {
-            if p.0.arrival_ps > epoch_end {
+        while let Some(p) = self.pending.peek() {
+            if p.req.arrival_ps > epoch_end {
                 break;
             }
-            let Reverse(Pending(req)) = self.pending.pop().expect("peeked");
-            let backlogs: Vec<usize> = self.shards.iter().map(|s| s.server.backlog()).collect();
-            if backlogs.iter().sum::<usize>() >= self.cfg.budget {
-                let at = req.arrival_ps;
+            let p = self.pending.pop().expect("peeked");
+            self.backlogs.clear();
+            self.backlogs
+                .extend(self.shards.iter().map(|s| s.server.backlog()));
+            if self.backlogs.iter().sum::<usize>() >= self.cfg.budget {
+                let at = p.req.arrival_ps;
                 self.probes.inc("cluster.requests.shed");
+                self.budget_sheds[p.tenant as usize] += 1;
                 let shed = Shed {
-                    request: req,
+                    request: p.req,
                     at_ps: at,
                     reason: ShedReason::ClusterBudget,
                 };
@@ -568,9 +594,9 @@ impl Cluster {
                 }
                 continue;
             }
-            let si = self.router.route(&req.kernel, &backlogs);
-            self.probes.inc(&format!("cluster.route.shard.{si}"));
-            self.shards[si].server.submit(req)?;
+            let si = self.router.route(p.kernel as usize, &self.backlogs);
+            self.probes.inc(&self.route_keys[si]);
+            self.shards[si].server.submit_pending(p)?;
         }
         let (hits, misses) = self.router.take_cache_stats();
         if hits + misses > 0 {
@@ -602,12 +628,12 @@ impl Cluster {
             if gap <= sc.imbalance {
                 break;
             }
-            let Some(req) = self.shards[max_i].server.steal_newest(1).pop() else {
+            let Some(p) = self.shards[max_i].server.steal_newest_pending(1).pop() else {
                 break;
             };
             self.shards[min_i]
                 .server
-                .submit_stolen(req)
+                .submit_stolen_pending(p)
                 .expect("stolen identity was released by its victim");
             self.probes.inc("cluster.steals");
             self.steals += 1;
@@ -620,20 +646,17 @@ impl Cluster {
     where
         F: FnMut(&Outcome) -> Vec<Request>,
     {
-        let mut events: Vec<Outcome> = Vec::new();
+        let marks = self.outcome_marks();
         for sh in &mut self.shards {
-            sh.server.run_until(epoch_end, &mut |o: &Outcome| {
-                events.push(o.clone());
-                Vec::new()
-            })?;
+            sh.server.run_until(epoch_end, &mut no_follow_ups)?;
         }
-        self.merge_epoch_events(events, hook)
+        self.merge_epoch_events(&marks, hook)
     }
 
     /// One epoch of shard pumping on the worker pool: shards are moved to
     /// their workers (shard `i` of `n` always goes to worker
     /// `i * workers / n`, a fixed contiguous chunking), pumped to the
-    /// epoch boundary, and reinstalled in index order with their events.
+    /// epoch boundary, and reinstalled in index order.
     fn pump_shards_pooled<F>(
         &mut self,
         txs: &[mpsc::Sender<ShardJob>],
@@ -644,6 +667,7 @@ impl Cluster {
     where
         F: FnMut(&Outcome) -> Vec<Request>,
     {
+        let marks = self.outcome_marks();
         let n = self.shards.len();
         let workers = txs.len();
         for (i, sh) in std::mem::take(&mut self.shards).into_iter().enumerate() {
@@ -659,41 +683,46 @@ impl Cluster {
             slots[i] = Some((sh, r));
         }
         // Reinstall every shard before surfacing any error so the cluster
-        // stays intact, and flatten events in shard-index order — the same
-        // pre-sort order the sequential pump produces.
-        let mut events: Vec<Outcome> = Vec::new();
+        // stays intact.
         let mut first_err = None;
         for slot in slots {
             let (sh, r) = slot.expect("every shard reports exactly once per epoch");
             self.shards.push(sh);
-            match r {
-                Ok(mut local) => events.append(&mut local),
-                Err(e) => {
-                    if first_err.is_none() {
-                        first_err = Some(e);
-                    }
-                }
+            if let Err(e) = r {
+                first_err.get_or_insert(e);
             }
         }
         if let Some(e) = first_err {
             return Err(e);
         }
-        self.merge_epoch_events(events, hook)
+        self.merge_epoch_events(&marks, hook)
     }
 
-    /// Stable-sorts one epoch's merged terminal events into the canonical
-    /// order and feeds them to the run hook. Shared by the sequential and
-    /// pooled pumps — identical input order in, identical behavior out.
-    fn merge_epoch_events<F>(
-        &mut self,
-        mut events: Vec<Outcome>,
-        hook: &mut F,
-    ) -> Result<(), ServeError>
+    /// Every shard's outcome-log length: where this epoch's events start.
+    fn outcome_marks(&self) -> Vec<usize> {
+        self.shards
+            .iter()
+            .map(|s| s.server.outcome_count())
+            .collect()
+    }
+
+    /// Feeds one epoch's terminal events — every shard's log past its
+    /// mark — to the run hook in the canonical order: shard-index order
+    /// first, then a stable sort by [`outcome_key`]. Shared by the
+    /// sequential and pooled pumps, so both behave identically. The hook
+    /// sees each event in place in its shard's log; nothing is cloned.
+    fn merge_epoch_events<F>(&mut self, marks: &[usize], hook: &mut F) -> Result<(), ServeError>
     where
         F: FnMut(&Outcome) -> Vec<Request>,
     {
-        events.sort_by(|a, b| outcome_key(a).cmp(&outcome_key(b)));
-        for o in &events {
+        let mut order: Vec<(usize, usize)> = Vec::new();
+        for (s, (sh, &mark)) in self.shards.iter().zip(marks).enumerate() {
+            order.extend((mark..sh.server.outcome_count()).map(|i| (s, i)));
+        }
+        let event = |(s, i): (usize, usize)| self.shards[s].server.outcome(i);
+        order.sort_by(|&a, &b| outcome_key(event(a)).cmp(&outcome_key(event(b))));
+        for (s, i) in order {
+            let o = self.shards[s].server.outcome(i);
             let min_arrival = match o {
                 Outcome::Completed(c) => {
                     self.probes.inc("cluster.requests.completed");
@@ -712,13 +741,15 @@ impl Cluster {
         Ok(())
     }
 
-    /// Drains shard reports and merges them into the cluster view.
+    /// Drains shard reports and merges them into the cluster view. Like
+    /// [`Server::report`], this drains the event logs (router sheds
+    /// included) while counters stay cumulative.
     fn report(&mut self) -> ClusterReport {
         let mut probes = self.probes.clone();
         let shard_reports: Vec<ServeReport> =
             self.shards.iter_mut().map(|s| s.server.report()).collect();
         let mut completions: Vec<Completion> = Vec::new();
-        let mut sheds: Vec<Shed> = self.router_sheds.clone();
+        let mut sheds: Vec<Shed> = std::mem::take(&mut self.router_sheds);
         for (i, r) in shard_reports.iter().enumerate() {
             completions.extend(r.completions.iter().cloned());
             sheds.extend(r.sheds.iter().cloned());
@@ -754,29 +785,30 @@ impl Cluster {
         }
     }
 
-    /// Cluster-wide per-tenant summaries from the merged registry.
+    /// Cluster-wide per-tenant summaries from the merged registry, name
+    /// order.
     fn tenant_summaries(&self, probes: &CounterRegistry) -> Vec<TenantSummary> {
-        self.tenant_weights
-            .iter()
-            .map(|(name, &weight)| {
-                let c = |suffix: &str| probes.counter(&format!("serve.tenant.{name}.{suffix}"));
-                let router_shed = self
-                    .router_sheds
-                    .iter()
-                    .filter(|s| s.request.tenant == *name)
-                    .count() as u64;
-                let hist = probes.histogram(&format!("serve.tenant.{name}.latency_ps"));
+        let mut by_name: Vec<usize> = (0..self.tenants.len()).collect();
+        by_name.sort_by(|&a, &b| self.tenants[a].0.cmp(&self.tenants[b].0));
+        by_name
+            .into_iter()
+            .map(|t| {
+                let (name, weight) = &self.tenants[t];
+                let keys = TenantKeys::new(name);
+                let c = |key: &str| probes.counter(key);
+                let router_shed = self.budget_sheds[t];
+                let hist = probes.histogram(&keys.latency_ps);
                 let q = |p: f64| hist.and_then(|h| h.quantile(p)).unwrap_or(0.0);
                 TenantSummary {
                     name: name.clone(),
-                    weight,
+                    weight: *weight,
                     // Shard `submitted` counts a migrated request twice (a
                     // steal is a fresh submission on the thief); subtract
                     // `stolen` to recover user submissions, then add the
                     // budget sheds no shard ever saw.
-                    submitted: c("submitted") - c("stolen") + router_shed,
-                    completed: c("completed"),
-                    shed: c("shed") + router_shed,
+                    submitted: c(&keys.submitted) - c(&keys.stolen) + router_shed,
+                    completed: c(&keys.completed),
+                    shed: c(&keys.shed) + router_shed,
                     p50_ps: q(0.5),
                     p95_ps: q(0.95),
                     p99_ps: q(0.99),
@@ -785,6 +817,12 @@ impl Cluster {
             })
             .collect()
     }
+}
+
+/// The shard-side run hook: shards never react themselves; the cluster
+/// feeds their events to its own hook after each epoch.
+fn no_follow_ups(_: &Outcome) -> Vec<Request> {
+    Vec::new()
 }
 
 /// Canonical ordering of merged terminal events: time, then identity,

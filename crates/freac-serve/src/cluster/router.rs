@@ -7,8 +7,6 @@
 //! only from `(kernel name, shard index)`, so placement is independent of
 //! registration order, request order, and shard enumeration order.
 
-use std::collections::BTreeMap;
-
 use freac_rand::{seed_from_name, Rng64};
 
 /// How the cluster picks a home shard for each request.
@@ -36,12 +34,12 @@ pub(crate) struct Router {
     policy: RoutePolicy,
     shards: usize,
     rr_cursor: usize,
-    /// Rendezvous rankings memoized per `(kernel, live shard set)` — the
-    /// live set is implicit (`self.shards` indices), and [`Router::invalidate`]
-    /// flushes the cache whenever a topology event (shard rescale) changes
-    /// what is resident where. Hits take no allocation: the hot path is a
-    /// `BTreeMap` lookup by `&str`, not an owned-key `entry`.
-    rankings: BTreeMap<String, Vec<usize>>,
+    /// Per kernel id (the order of [`Router::add_kernel`] calls): the name
+    /// its ranking hashes, and the rendezvous ranking memoized per live
+    /// shard set — the live set is implicit (`self.shards` indices), and
+    /// [`Router::invalidate`] flushes the memo whenever a topology event
+    /// (shard rescale) changes what is resident where.
+    kernels: Vec<(String, Option<Vec<usize>>)>,
     cache_hits: u64,
     cache_misses: u64,
 }
@@ -53,34 +51,39 @@ impl Router {
             policy,
             shards,
             rr_cursor: 0,
-            rankings: BTreeMap::new(),
+            kernels: Vec::new(),
             cache_hits: 0,
             cache_misses: 0,
         }
     }
 
+    /// Registers a kernel under the next dense id.
+    pub(crate) fn add_kernel(&mut self, name: &str) {
+        self.kernels.push((name.to_owned(), None));
+    }
+
     /// The kernel's rendezvous ranking: shard indices sorted by descending
-    /// per-`(kernel, shard)` hash score (ascending index on score ties),
-    /// memoized per kernel.
-    fn ranking(&mut self, kernel: &str) -> &[usize] {
-        if !self.rankings.contains_key(kernel) {
+    /// per-`(kernel name, shard)` hash score (ascending index on score
+    /// ties), memoized per kernel.
+    fn ranking(&mut self, kernel: usize) -> &[usize] {
+        let shards = self.shards;
+        let (name, memo) = &mut self.kernels[kernel];
+        if memo.is_some() {
+            self.cache_hits += 1;
+        } else {
             self.cache_misses += 1;
-            let seed = seed_from_name(kernel);
-            let mut scored: Vec<(u64, usize)> = (0..self.shards)
+        }
+        memo.get_or_insert_with(|| {
+            let seed = seed_from_name(name);
+            let mut scored: Vec<(u64, usize)> = (0..shards)
                 .map(|i| {
                     let lane = (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
                     (Rng64::new(seed ^ lane).next_u64(), i)
                 })
                 .collect();
             scored.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
-            self.rankings.insert(
-                kernel.to_owned(),
-                scored.into_iter().map(|(_, i)| i).collect(),
-            );
-        } else {
-            self.cache_hits += 1;
-        }
-        &self.rankings[kernel]
+            scored.into_iter().map(|(_, i)| i).collect()
+        })
     }
 
     /// Flushes the ranking cache. Called on every shard rescale: the
@@ -90,7 +93,9 @@ impl Router {
     /// unchanged — the flush keeps the memo honest about topology events
     /// and is observable through the miss counter.)
     pub(crate) fn invalidate(&mut self) {
-        self.rankings.clear();
+        for (_, memo) in &mut self.kernels {
+            *memo = None;
+        }
     }
 
     /// Drains the `(hits, misses)` ranking-cache tally accumulated since
@@ -102,9 +107,9 @@ impl Router {
         stats
     }
 
-    /// The shard the next request for `kernel` should land on, given each
-    /// shard's current backlog.
-    pub(crate) fn route(&mut self, kernel: &str, backlogs: &[usize]) -> usize {
+    /// The shard the next request for kernel id `kernel` should land on,
+    /// given each shard's current backlog.
+    pub(crate) fn route(&mut self, kernel: usize, backlogs: &[usize]) -> usize {
         debug_assert_eq!(backlogs.len(), self.shards);
         match self.policy {
             RoutePolicy::RoundRobin => {
@@ -137,28 +142,36 @@ impl Router {
 mod tests {
     use super::*;
 
+    /// A router with `kernels` registered; ids are list positions.
+    fn router(policy: RoutePolicy, shards: usize, kernels: &[&str]) -> Router {
+        let mut r = Router::new(policy, shards);
+        for k in kernels {
+            r.add_kernel(k);
+        }
+        r
+    }
+
     #[test]
     fn round_robin_cycles_all_shards() {
-        let mut r = Router::new(RoutePolicy::RoundRobin, 3);
-        let picks: Vec<usize> = (0..7).map(|_| r.route("any", &[0, 0, 0])).collect();
+        let mut r = router(RoutePolicy::RoundRobin, 3, &["any"]);
+        let picks: Vec<usize> = (0..7).map(|_| r.route(0, &[0, 0, 0])).collect();
         assert_eq!(picks, vec![0, 1, 2, 0, 1, 2, 0]);
     }
 
     #[test]
     fn affinity_is_stable_and_kernel_dependent() {
-        let mut r = Router::new(RoutePolicy::KernelAffinity { spill_depth: 8 }, 4);
-        let home_aes = r.route("aes", &[0, 0, 0, 0]);
+        let names = ["aes", "gemm", "fft", "kmp", "nw", "sort", "conv"];
+        let mut r = router(RoutePolicy::KernelAffinity { spill_depth: 8 }, 4, &names);
+        let home_aes = r.route(0, &[0, 0, 0, 0]);
         // Same kernel keeps routing home while under the spill depth.
         for _ in 0..10 {
-            assert_eq!(r.route("aes", &[2, 2, 2, 2]), home_aes);
+            assert_eq!(r.route(0, &[2, 2, 2, 2]), home_aes);
         }
         // Distinct kernels spread: across the paper's kernel names at
         // least two distinct home shards appear.
-        let homes: std::collections::BTreeSet<usize> =
-            ["aes", "gemm", "fft", "kmp", "nw", "sort", "conv"]
-                .iter()
-                .map(|k| r.route(k, &[0, 0, 0, 0]))
-                .collect();
+        let homes: std::collections::BTreeSet<usize> = (0..names.len())
+            .map(|k| r.route(k, &[0, 0, 0, 0]))
+            .collect();
         assert!(
             homes.len() >= 2,
             "all kernels hashed to one shard: {homes:?}"
@@ -166,26 +179,50 @@ mod tests {
     }
 
     #[test]
+    fn placement_depends_on_names_not_registration_order() {
+        let names = ["aes", "gemm", "fft", "kmp", "nw", "sort", "conv"];
+        let mut fwd = router(RoutePolicy::KernelAffinity { spill_depth: 8 }, 4, &names);
+        let mut rev_names = names;
+        rev_names.reverse();
+        let mut rev = router(
+            RoutePolicy::KernelAffinity { spill_depth: 8 },
+            4,
+            &rev_names,
+        );
+        for (k, _) in names.iter().enumerate() {
+            let backlogs = [0, 0, 0, 0];
+            assert_eq!(
+                fwd.route(k, &backlogs),
+                rev.route(names.len() - 1 - k, &backlogs)
+            );
+        }
+    }
+
+    #[test]
     fn affinity_spills_down_the_ranking_when_home_is_deep() {
-        let mut r = Router::new(RoutePolicy::KernelAffinity { spill_depth: 4 }, 3);
-        let home = r.route("gemm", &[0, 0, 0]);
+        let mut r = router(RoutePolicy::KernelAffinity { spill_depth: 4 }, 3, &["gemm"]);
+        let home = r.route(0, &[0, 0, 0]);
         let mut backlogs = vec![0usize; 3];
         backlogs[home] = 4; // at the spill depth: no longer eligible
-        let spill = r.route("gemm", &backlogs);
+        let spill = r.route(0, &backlogs);
         assert_ne!(spill, home, "saturated home must spill");
         // Fully saturated: the least-backlogged shard wins.
         let mut all_deep = vec![9usize; 3];
         all_deep[spill] = 7;
-        assert_eq!(r.route("gemm", &all_deep), spill);
+        assert_eq!(r.route(0, &all_deep), spill);
     }
 
     #[test]
     fn ranking_cache_hits_after_first_route_and_misses_after_invalidate() {
-        let mut r = Router::new(RoutePolicy::KernelAffinity { spill_depth: 8 }, 4);
+        let mut r = router(
+            RoutePolicy::KernelAffinity { spill_depth: 8 },
+            4,
+            &["aes", "gemm"],
+        );
         let backlogs = [0usize; 4];
         for _ in 0..5 {
-            r.route("aes", &backlogs);
-            r.route("gemm", &backlogs);
+            r.route(0, &backlogs);
+            r.route(1, &backlogs);
         }
         let (hits, misses) = r.take_cache_stats();
         assert_eq!(misses, 2, "one ranking computed per kernel");
@@ -194,15 +231,9 @@ mod tests {
         assert_eq!(r.take_cache_stats(), (0, 0));
         // A topology event flushes the memo: the same kernels miss again,
         // and recompute to the same placement (rankings are pure).
-        let before: Vec<usize> = ["aes", "gemm"]
-            .iter()
-            .map(|k| r.route(k, &backlogs))
-            .collect();
+        let before: Vec<usize> = (0..2).map(|k| r.route(k, &backlogs)).collect();
         r.invalidate();
-        let after: Vec<usize> = ["aes", "gemm"]
-            .iter()
-            .map(|k| r.route(k, &backlogs))
-            .collect();
+        let after: Vec<usize> = (0..2).map(|k| r.route(k, &backlogs)).collect();
         assert_eq!(before, after, "invalidation must not change placement");
         let (_, misses) = r.take_cache_stats();
         assert_eq!(misses, 2, "post-invalidate routes recompute the rankings");
@@ -210,18 +241,19 @@ mod tests {
 
     #[test]
     fn round_robin_never_touches_the_ranking_cache() {
-        let mut r = Router::new(RoutePolicy::RoundRobin, 3);
+        let mut r = router(RoutePolicy::RoundRobin, 3, &["aes"]);
         for _ in 0..6 {
-            r.route("aes", &[0, 0, 0]);
+            r.route(0, &[0, 0, 0]);
         }
         assert_eq!(r.take_cache_stats(), (0, 0));
     }
 
     #[test]
     fn single_shard_always_routes_to_zero() {
-        let mut rr = Router::new(RoutePolicy::RoundRobin, 1);
-        let mut aff = Router::new(RoutePolicy::KernelAffinity { spill_depth: 1 }, 1);
-        for k in ["aes", "gemm"] {
+        let kernels = ["aes", "gemm"];
+        let mut rr = router(RoutePolicy::RoundRobin, 1, &kernels);
+        let mut aff = router(RoutePolicy::KernelAffinity { spill_depth: 1 }, 1, &kernels);
+        for k in 0..kernels.len() {
             assert_eq!(rr.route(k, &[100]), 0);
             assert_eq!(aff.route(k, &[100]), 0);
         }

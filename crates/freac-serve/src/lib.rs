@@ -52,6 +52,7 @@ pub mod server;
 pub mod tlb;
 
 mod error;
+mod pending;
 
 pub use cluster::{
     AutoscaleConfig, Cluster, ClusterConfig, ClusterReport, RoutePolicy, StealConfig,

@@ -17,28 +17,42 @@ pub enum ShedPolicy {
 
 /// Result of offering a request to a queue.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum AdmitResult {
+pub enum AdmitResult<T = Request> {
     /// Accepted; queue had room.
     Admitted,
     /// Accepted, displacing the returned oldest request
     /// ([`ShedPolicy::DropOldest`]).
-    Displaced(Request),
+    Displaced(T),
     /// Refused; the returned request bounced ([`ShedPolicy::RejectNew`]).
-    Rejected(Request),
+    Rejected(T),
+}
+
+/// A queue entry: a [`Request`], possibly carrying engine-side
+/// annotations (the server queues requests together with their interned
+/// tenant and kernel ids).
+pub trait Queued {
+    /// The request this entry carries.
+    fn request(&self) -> &Request;
+}
+
+impl Queued for Request {
+    fn request(&self) -> &Request {
+        self
+    }
 }
 
 /// A bounded FIFO of requests for one kernel.
 ///
 /// Requests are admitted in canonical arrival order (the engine drains its
-/// pending heap by [`Request::order_key`]), so the queue is always sorted
+/// pending queue by [`Request::order_key`]), so the queue is always sorted
 /// by that key and index 0 is the oldest queued request.
 #[derive(Debug, Clone)]
-pub struct AdmissionQueue {
+pub struct AdmissionQueue<T = Request> {
     depth: usize,
-    items: VecDeque<Request>,
+    items: VecDeque<T>,
 }
 
-impl AdmissionQueue {
+impl<T: Queued> AdmissionQueue<T> {
     /// A queue holding at most `depth` requests (`depth >= 1`).
     ///
     /// # Panics
@@ -68,17 +82,17 @@ impl AdmissionQueue {
     }
 
     /// Queued requests oldest-first.
-    pub fn iter(&self) -> impl Iterator<Item = &Request> {
+    pub fn iter(&self) -> impl Iterator<Item = &T> {
         self.items.iter()
     }
 
     /// The request at `idx` (0 = oldest).
-    pub fn get(&self, idx: usize) -> Option<&Request> {
+    pub fn get(&self, idx: usize) -> Option<&T> {
         self.items.get(idx)
     }
 
     /// Offers `req`; applies `policy` when full.
-    pub fn admit(&mut self, req: Request, policy: ShedPolicy) -> AdmitResult {
+    pub fn admit(&mut self, req: T, policy: ShedPolicy) -> AdmitResult<T> {
         if self.items.len() < self.depth {
             self.items.push_back(req);
             return AdmitResult::Admitted;
@@ -99,13 +113,13 @@ impl AdmissionQueue {
     /// # Panics
     ///
     /// Panics if `idx` is out of range.
-    pub fn remove_at(&mut self, idx: usize) -> Request {
+    pub fn remove_at(&mut self, idx: usize) -> T {
         self.items.remove(idx).expect("index in range")
     }
 
     /// Removes and returns the newest queued request — the work-stealing
     /// victim, chosen to disturb the head-of-line service order least.
-    pub fn pop_newest(&mut self) -> Option<Request> {
+    pub fn pop_newest(&mut self) -> Option<T> {
         self.items.pop_back()
     }
 
@@ -114,14 +128,14 @@ impl AdmissionQueue {
     /// (exclusives, and the overflow past `cap`) keeps its relative
     /// order. O(queue length), independent of `cap` — the coalescer calls
     /// this once per dispatch instead of one `remove_at` per companion.
-    pub fn drain_batchable_into(&mut self, cap: usize, batch: &mut Vec<Request>) {
+    pub fn drain_batchable_into(&mut self, cap: usize, batch: &mut Vec<T>) {
         if cap == 0 || self.items.is_empty() {
             return;
         }
         let mut kept = VecDeque::with_capacity(self.items.len());
         let mut taken = 0usize;
         for r in self.items.drain(..) {
-            if taken < cap && !r.exclusive {
+            if taken < cap && !r.request().exclusive {
                 batch.push(r);
                 taken += 1;
             } else {
@@ -202,6 +216,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "depth must be at least 1")]
     fn zero_depth_is_rejected() {
-        AdmissionQueue::new(0);
+        AdmissionQueue::<Request>::new(0);
     }
 }

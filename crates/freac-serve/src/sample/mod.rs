@@ -33,7 +33,8 @@
 mod kmedoids;
 mod sig;
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::borrow::Cow;
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
 
 use freac_core::{Accelerator, AcceleratorTile};
@@ -353,24 +354,19 @@ impl SampledServer {
     /// ill-defined), and window sizes that shatter the trace into more
     /// than a few thousand windows.
     pub fn run(&self, trace: &[Request]) -> Result<SampleReport, ServeError> {
-        let mut trace: Vec<Request> = trace.to_vec();
-        trace.sort_by(|a, b| a.order_key().cmp(&b.order_key()));
-        let mut ids: BTreeSet<(&str, u64)> = BTreeSet::new();
-        for r in &trace {
-            if !self.tenants.contains_key(&r.tenant) {
-                return Err(ServeError::UnknownTenant(r.tenant.clone()));
-            }
-            if !self.kernels.contains_key(&r.kernel) {
-                return Err(ServeError::UnknownKernel(r.kernel.clone()));
-            }
-            if !ids.insert((r.tenant.as_str(), r.seq)) {
-                return Err(ServeError::BadConfig(format!(
-                    "sampled traces need unique (tenant, seq): '{}' seq {} repeats",
-                    r.tenant, r.seq
-                )));
-            }
-        }
-        drop(ids);
+        // Open-loop traces usually arrive sorted; only an unsorted one is
+        // copied.
+        let trace: Cow<[Request]> = if trace
+            .windows(2)
+            .all(|w| w[0].order_key() <= w[1].order_key())
+        {
+            Cow::Borrowed(trace)
+        } else {
+            let mut sorted = trace.to_vec();
+            sorted.sort_by(|a, b| a.order_key().cmp(&b.order_key()));
+            Cow::Owned(sorted)
+        };
+        self.check_trace(&trace)?;
         if trace.is_empty() {
             return Ok(self.empty_report());
         }
@@ -452,6 +448,65 @@ impl SampledServer {
         }
 
         self.extrapolate(&trace, &sigs, clusters, &metrics, &dist)
+    }
+
+    /// Rejects unregistered tenants and kernels and repeated `(tenant,
+    /// seq)` identities, reporting the first offending request in trace
+    /// order. This pass touches every request of a possibly
+    /// million-request trace, so it runs on interned tenant ids, and the
+    /// common case — every tenant's `seq` strictly increasing along the
+    /// sorted trace, as open-loop traces number them — needs no identity
+    /// set: nothing can repeat while each tenant's `seq` keeps rising.
+    /// Only a trace that breaks that pays for a full identity-set pass.
+    fn check_trace(&self, trace: &[Request]) -> Result<(), ServeError> {
+        let tenant_ids: HashMap<&str, u32> = self
+            .tenants
+            .keys()
+            .zip(0..)
+            .map(|(name, i)| (name.as_str(), i))
+            .collect();
+        let mut last_seq: Vec<Option<u64>> = vec![None; tenant_ids.len()];
+        for r in trace {
+            let tenant = self.check_names(&tenant_ids, r)?;
+            let last = &mut last_seq[tenant as usize];
+            if last.is_some_and(|l| r.seq <= l) {
+                return self.check_identities(&tenant_ids, trace);
+            }
+            *last = Some(r.seq);
+        }
+        Ok(())
+    }
+
+    /// [`Self::check_trace`]'s general case: every identity goes through
+    /// a set.
+    fn check_identities(
+        &self,
+        tenant_ids: &HashMap<&str, u32>,
+        trace: &[Request],
+    ) -> Result<(), ServeError> {
+        let mut seen: HashSet<(u32, u64)> = HashSet::with_capacity(trace.len());
+        for r in trace {
+            let tenant = self.check_names(tenant_ids, r)?;
+            if !seen.insert((tenant, r.seq)) {
+                return Err(ServeError::BadConfig(format!(
+                    "sampled traces need unique (tenant, seq): '{}' seq {} repeats",
+                    r.tenant, r.seq
+                )));
+            }
+        }
+        Ok(())
+    }
+
+    /// The request's tenant id, after checking its tenant and kernel are
+    /// registered.
+    fn check_names(&self, tenant_ids: &HashMap<&str, u32>, r: &Request) -> Result<u32, ServeError> {
+        let Some(&tenant) = tenant_ids.get(r.tenant.as_str()) else {
+            return Err(ServeError::UnknownTenant(r.tenant.clone()));
+        };
+        if !self.kernels.contains_key(&r.kernel) {
+            return Err(ServeError::UnknownKernel(r.kernel.clone()));
+        }
+        Ok(tenant)
     }
 
     /// Per-kernel fluid cost models from a scratch shard (plans are
@@ -1046,6 +1101,32 @@ mod tests {
         t[5].seq = 4; // collides with request 4
         let err = s.run(&t).unwrap_err();
         assert!(matches!(err, ServeError::BadConfig(_)));
+
+        // A retry keeps its seq, so it repeats the identity too.
+        let mut t = trace(40, 10_000);
+        let mut retry = t[7].clone();
+        retry.retries = 1;
+        retry.arrival_ps += 1;
+        t.insert(8, retry);
+        assert!(matches!(s.run(&t), Err(ServeError::BadConfig(_))));
+
+        // Falling seqs are not repeats: the identity-set pass accepts them.
+        let mut t = trace(40, 10_000);
+        for (i, r) in t.iter_mut().enumerate() {
+            r.seq = 1_000 - i as u64;
+        }
+        assert!(s.run(&t).is_ok());
+
+        // The first offending request in trace order wins: a repeat
+        // before an unknown tenant reports the repeat, and vice versa.
+        let mut t = trace(40, 10_000);
+        t[5].seq = 4;
+        t[9].tenant = "nobody".into();
+        assert!(matches!(s.run(&t), Err(ServeError::BadConfig(_))));
+        let mut t = trace(40, 10_000);
+        t[5].tenant = "nobody".into();
+        t[9].seq = 8;
+        assert!(matches!(s.run(&t), Err(ServeError::UnknownTenant(_))));
     }
 
     #[test]

@@ -135,6 +135,9 @@ pub(crate) fn window_signatures(
     // what stretches the boot transient to `setup_ps / arrival_gap`
     // requests while slices configured earlier keep serving.
     let mut router = Router::new(cfg.route, shards);
+    for k in kernels {
+        router.add_kernel(k);
+    }
     let slice_cap = cfg.shard.slices.max(1);
     let mut depth = vec![0.0f64; shards]; // queued requests (fluid)
     let mut backlog_ps = vec![0.0f64; shards]; // queued service time
@@ -198,7 +201,7 @@ pub(crate) fn window_signatures(
         }
         let si = match cfg.route {
             RoutePolicy::RoundRobin | RoutePolicy::KernelAffinity { .. } => {
-                router.route(&req.kernel, &backlogs_rounded)
+                router.route(kid, &backlogs_rounded)
             }
         };
         if depth[si] >= queue_depth {

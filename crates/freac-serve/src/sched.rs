@@ -2,17 +2,18 @@
 //!
 //! The scheduler sees every queued request across the per-kernel admission
 //! queues and picks one *anchor*; the batch coalescer then packs
-//! compatible companions around it. All scans iterate `BTreeMap`s and
-//! break ties by [`Request::order_key`], so the pick is a pure function of
-//! queue and tenant state — independent of tenant enumeration or
-//! submission order.
-
-use std::collections::BTreeMap;
+//! compatible companions around it. Queues and tenants are `Vec`s indexed
+//! by dense ids, which follow registration order, so every comparison
+//! here goes through names instead: requests compare by their borrowed
+//! [`order_key`](crate::request::Request::order_key) (unique per server), tenants by `(virtual work,
+//! name)`. The pick is therefore a pure function of queue and tenant
+//! state — independent of tenant enumeration, registration, or submission
+//! order.
 
 use freac_sim::Time;
 
+use crate::pending::Pending;
 use crate::queue::AdmissionQueue;
-use crate::request::Request;
 
 /// Scheduling policy for anchor selection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -38,6 +39,8 @@ pub(crate) const VWORK_SCALE: u128 = 1 << 20;
 /// Per-tenant scheduling state.
 #[derive(Debug, Clone)]
 pub(crate) struct TenantState {
+    /// Tenant name: the fair-share tie-break.
+    pub name: String,
     /// Fair-share weight (>= 1); higher weight means more service.
     pub weight: u64,
     /// Virtual service accrued: `Σ charged_ps * VWORK_SCALE / weight`.
@@ -45,95 +48,111 @@ pub(crate) struct TenantState {
 }
 
 impl TenantState {
+    /// A tenant with nothing charged yet.
+    pub fn new(name: &str, weight: u64) -> Self {
+        TenantState {
+            name: name.to_owned(),
+            weight,
+            vwork: 0,
+        }
+    }
+
     /// Charges `amount_ps` of service against the tenant's weight.
     pub fn charge(&mut self, amount_ps: Time) {
         self.vwork += u128::from(amount_ps) * VWORK_SCALE / u128::from(self.weight);
     }
 }
 
-/// Picks the anchor `(kernel, queue index)` for the next dispatch, or
-/// `None` when nothing is queued.
+/// Picks the anchor `(kernel id, queue index)` for the next dispatch, or
+/// `None` when nothing is queued. `queues` and `tenants` are indexed by
+/// the ids the queued entries carry.
 pub(crate) fn pick(
     policy: SchedPolicy,
-    queues: &BTreeMap<String, AdmissionQueue>,
-    tenants: &BTreeMap<String, TenantState>,
-) -> Option<(String, usize)> {
+    queues: &[AdmissionQueue<Pending>],
+    tenants: &[TenantState],
+) -> Option<(usize, usize)> {
     let all = || {
         queues
             .iter()
-            .flat_map(|(k, q)| q.iter().enumerate().map(move |(i, r)| (k, i, r)))
+            .enumerate()
+            .flat_map(|(k, q)| q.iter().enumerate().map(move |(i, p)| (k, i, p)))
     };
     match policy {
         SchedPolicy::Fifo => all()
-            .min_by_key(|(_, _, r)| key_of(r))
-            .map(|(k, i, _)| (k.clone(), i)),
-        SchedPolicy::DeadlineAware => all()
-            .min_by_key(|(_, _, r)| (r.deadline_ps.unwrap_or(Time::MAX), key_of(r)))
-            .map(|(k, i, _)| (k.clone(), i)),
+            .min_by(|(_, _, a), (_, _, b)| a.req.order_key().cmp(&b.req.order_key()))
+            .map(|(k, i, _)| (k, i)),
+        SchedPolicy::DeadlineAware => {
+            fn key(p: &Pending) -> (Time, (Time, &str, u64, u32)) {
+                (p.req.deadline_ps.unwrap_or(Time::MAX), p.req.order_key())
+            }
+            all()
+                .min_by(|(_, _, a), (_, _, b)| key(a).cmp(&key(b)))
+                .map(|(k, i, _)| (k, i))
+        }
         SchedPolicy::WeightedFair => {
             // Oldest queued request of each tenant with anything pending.
-            let mut best: BTreeMap<&str, (&String, usize, OrderKey)> = BTreeMap::new();
-            for (k, i, r) in all() {
-                let key = key_of(r);
-                match best.get(r.tenant.as_str()) {
-                    Some((_, _, existing)) if *existing <= key => {}
-                    _ => {
-                        best.insert(r.tenant.as_str(), (k, i, key));
-                    }
+            let mut best: Vec<Option<(usize, usize, &Pending)>> = vec![None; tenants.len()];
+            for (k, i, p) in all() {
+                let slot = &mut best[p.tenant as usize];
+                if slot.is_none_or(|(_, _, old)| p.req.order_key() < old.req.order_key()) {
+                    *slot = Some((k, i, p));
                 }
             }
             // Least virtual service wins; ties break by tenant name, which
             // is deterministic because tenant names are unique.
-            best.into_iter()
-                .min_by_key(|(name, _)| {
-                    let vwork = tenants.get(*name).map_or(u128::MAX, |t| t.vwork);
-                    (vwork, name.to_owned())
-                })
-                .map(|(_, (k, i, _))| (k.clone(), i))
+            best.iter()
+                .enumerate()
+                .filter_map(|(t, b)| b.map(|(k, i, _)| (&tenants[t], k, i)))
+                .min_by(|(a, _, _), (b, _, _)| (a.vwork, &a.name).cmp(&(b.vwork, &b.name)))
+                .map(|(_, k, i)| (k, i))
         }
     }
-}
-
-/// Owned ordering key (the borrow-free form of [`Request::order_key`]).
-type OrderKey = (Time, String, u64, u32);
-
-fn key_of(r: &Request) -> OrderKey {
-    (r.arrival_ps, r.tenant.clone(), r.seq, r.retries)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::queue::ShedPolicy;
+    use crate::request::Request;
 
-    fn setup(reqs: Vec<Request>) -> BTreeMap<String, AdmissionQueue> {
-        let mut queues: BTreeMap<String, AdmissionQueue> = BTreeMap::new();
-        for r in reqs {
-            queues
-                .entry(r.kernel.clone())
-                .or_insert_with(|| AdmissionQueue::new(64))
-                .admit(r, ShedPolicy::RejectNew);
+    /// Tenant and kernel ids are positions in these lists; the ids run
+    /// against name order so a pick that leaked ids would show.
+    const TENANTS: [&str; 3] = ["c", "b", "a"];
+    const KERNELS: [&str; 2] = ["k2", "k1"];
+
+    fn id(names: &[&str], name: &str) -> u32 {
+        names.iter().position(|n| *n == name).expect("known name") as u32
+    }
+
+    fn setup(reqs: Vec<Request>) -> Vec<AdmissionQueue<Pending>> {
+        let mut queues: Vec<AdmissionQueue<Pending>> =
+            KERNELS.iter().map(|_| AdmissionQueue::new(64)).collect();
+        for req in reqs {
+            let kernel = id(&KERNELS, &req.kernel);
+            let p = Pending {
+                tenant: id(&TENANTS, &req.tenant),
+                kernel,
+                req,
+            };
+            queues[kernel as usize].admit(p, ShedPolicy::RejectNew);
         }
         queues
     }
 
-    fn tenants(weights: &[(&str, u64)]) -> BTreeMap<String, TenantState> {
-        weights
+    fn tenants(weights: &[u64; 3]) -> Vec<TenantState> {
+        TENANTS
             .iter()
-            .map(|&(n, w)| {
-                (
-                    n.to_owned(),
-                    TenantState {
-                        weight: w,
-                        vwork: 0,
-                    },
-                )
-            })
+            .zip(weights)
+            .map(|(n, &w)| TenantState::new(n, w))
             .collect()
     }
 
     fn req(tenant: &str, seq: u64, kernel: &str, arrival: Time) -> Request {
         Request::new(tenant, seq, kernel, arrival, 0)
+    }
+
+    fn k(name: &str) -> usize {
+        id(&KERNELS, name) as usize
     }
 
     #[test]
@@ -143,8 +162,15 @@ mod tests {
             req("a", 0, "k1", 10),
             req("a", 1, "k1", 30),
         ]);
-        let t = tenants(&[("a", 1), ("b", 1)]);
-        assert_eq!(pick(SchedPolicy::Fifo, &queues, &t), Some(("k1".into(), 0)));
+        let t = tenants(&[1, 1, 1]);
+        assert_eq!(pick(SchedPolicy::Fifo, &queues, &t), Some((k("k1"), 0)));
+    }
+
+    #[test]
+    fn fifo_ties_break_by_tenant_name_not_id() {
+        let queues = setup(vec![req("c", 0, "k2", 10), req("a", 0, "k1", 10)]);
+        let t = tenants(&[1, 1, 1]);
+        assert_eq!(pick(SchedPolicy::Fifo, &queues, &t), Some((k("k1"), 0)));
     }
 
     #[test]
@@ -155,36 +181,42 @@ mod tests {
         tight.deadline_ps = Some(1_000);
         let none = req("c", 0, "k1", 1);
         let queues = setup(vec![late, tight, none]);
-        let t = tenants(&[("a", 1), ("b", 1), ("c", 1)]);
+        let t = tenants(&[1, 1, 1]);
         // k2 holds the tight deadline even though k1 has older arrivals.
         assert_eq!(
             pick(SchedPolicy::DeadlineAware, &queues, &t),
-            Some(("k2".into(), 0))
+            Some((k("k2"), 0))
         );
     }
 
     #[test]
     fn weighted_fair_serves_the_least_served_tenant() {
         let queues = setup(vec![req("a", 0, "k1", 0), req("b", 0, "k2", 1)]);
-        let mut t = tenants(&[("a", 1), ("b", 1)]);
-        t.get_mut("a").unwrap().charge(1_000);
+        let mut t = tenants(&[1, 1, 1]);
+        t[id(&TENANTS, "a") as usize].charge(1_000);
         // Tenant b has accrued nothing, so its request anchors next.
         assert_eq!(
             pick(SchedPolicy::WeightedFair, &queues, &t),
-            Some(("k2".into(), 0))
+            Some((k("k2"), 0))
+        );
+    }
+
+    #[test]
+    fn weighted_fair_ties_break_by_tenant_name_not_id() {
+        // Equal virtual work: "a" (the highest id) wins on name, even
+        // though its request is the younger one.
+        let queues = setup(vec![req("c", 0, "k2", 0), req("a", 0, "k1", 5)]);
+        let t = tenants(&[1, 1, 1]);
+        assert_eq!(
+            pick(SchedPolicy::WeightedFair, &queues, &t),
+            Some((k("k1"), 0))
         );
     }
 
     #[test]
     fn charge_scales_inversely_with_weight() {
-        let mut heavy = TenantState {
-            weight: 8,
-            vwork: 0,
-        };
-        let mut light = TenantState {
-            weight: 1,
-            vwork: 0,
-        };
+        let mut heavy = TenantState::new("heavy", 8);
+        let mut light = TenantState::new("light", 1);
         heavy.charge(1_000);
         light.charge(1_000);
         assert_eq!(heavy.vwork * 8, light.vwork);
@@ -192,8 +224,8 @@ mod tests {
 
     #[test]
     fn empty_queues_yield_no_pick() {
-        let queues: BTreeMap<String, AdmissionQueue> = BTreeMap::new();
-        let t = tenants(&[("a", 1)]);
+        let queues: Vec<AdmissionQueue<Pending>> = Vec::new();
+        let t = tenants(&[1, 1, 1]);
         assert_eq!(pick(SchedPolicy::Fifo, &queues, &t), None);
     }
 }

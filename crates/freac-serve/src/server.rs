@@ -6,11 +6,22 @@
 //! The engine advances a single simulated clock. Arrivals at or before the
 //! moment a slice frees are admitted (and may shed, per policy) *before*
 //! the dispatch decision at that moment; dispatches go to the
-//! earliest-free slice, lowest index first. Every data structure iterates
-//! in a canonical order (`BTreeMap`s, a min-heap keyed by
-//! [`Request::order_key`]), so the schedule, completion order, and
-//! counters are a pure function of the submitted request set — never of
-//! tenant enumeration or submission order.
+//! earliest-free slice, lowest index first.
+//!
+//! # Determinism
+//!
+//! Tenant and kernel names are interned to dense ids at registration;
+//! tenants, queues, kernels, and slice residency are `Vec`s indexed by
+//! id, and the name→id maps are consulted only where a request enters
+//! ([`Server::submit`]). Ids follow registration order, so nothing orders
+//! by them: requests compare by [`Request::order_key`] (arrival, tenant
+//! *name*, seq, retries), the weighted-fair and steal tie-breaks compare
+//! names, and reports list tenants in name order. Arrivals wait in a
+//! sorted run with a min-heap beside it for out-of-order pushes; keys are
+//! unique, so it pops in exactly the order one min-heap would. The
+//! schedule, completion order, and counters are therefore a pure function
+//! of the submitted request set — never of tenant enumeration,
+//! registration, or submission order.
 //!
 //! # Latency model
 //!
@@ -29,8 +40,7 @@
 //! on first claim, config streaming only on a swap; way reclaim is paid
 //! once at drain and reported as teardown.
 
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use freac_core::scratchpad::ScratchpadModel;
@@ -46,6 +56,7 @@ use freac_sim::{ClockDomain, Time};
 use crate::batch::take_batch;
 use crate::error::ServeError;
 use crate::inputs::{hash_outputs, synth_inputs};
+use crate::pending::{next_id, Pending, PendingQueue};
 use crate::queue::{AdmissionQueue, AdmitResult, ShedPolicy};
 use crate::request::{Completion, Outcome, Request, Shed, ShedReason};
 use crate::sched::{pick, SchedPolicy, TenantState};
@@ -167,6 +178,8 @@ impl ServeConfig {
 
 /// A registered kernel with everything a dispatch needs precomputed.
 struct ServedKernel {
+    /// Registered name (dispatch records and steal tie-breaks).
+    name: String,
     accel: Arc<Accelerator>,
     /// Compiled batch plan over the mapped netlist (bit-sliced, executed
     /// at whatever width the dispatch needs via
@@ -190,7 +203,8 @@ struct ServedKernel {
 
 /// One compute slice's scheduling state.
 struct SliceState {
-    resident: Option<String>,
+    /// Id of the kernel whose bitstream is resident.
+    resident: Option<usize>,
     free_at: Time,
     busy_ps: Time,
     reconfigs: u64,
@@ -200,20 +214,32 @@ struct SliceState {
     reported_span_ps: Time,
 }
 
-/// Heap entry ordered by the canonical request key (shared with the
-/// cluster layer's routing heap).
-#[derive(PartialEq, Eq)]
-pub(crate) struct Pending(pub(crate) Request);
-
-impl Ord for Pending {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0.order_key().cmp(&other.0.order_key())
-    }
+/// A tenant's `serve.tenant.<name>.*` counter names, built once at
+/// registration so no event formats a key.
+pub(crate) struct TenantKeys {
+    pub(crate) submitted: String,
+    pub(crate) stolen: String,
+    pub(crate) stolen_in: String,
+    pub(crate) tlb_faults: String,
+    pub(crate) shed: String,
+    pub(crate) completed: String,
+    pub(crate) reconfig_ps: String,
+    pub(crate) latency_ps: String,
 }
 
-impl PartialOrd for Pending {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
+impl TenantKeys {
+    pub(crate) fn new(name: &str) -> Self {
+        let key = |metric: &str| format!("serve.tenant.{name}.{metric}");
+        TenantKeys {
+            submitted: key("submitted"),
+            stolen: key("stolen"),
+            stolen_in: key("stolen_in"),
+            tlb_faults: key("tlb_faults"),
+            shed: key("shed"),
+            completed: key("completed"),
+            reconfig_ps: key("reconfig_ps"),
+            latency_ps: key("latency_ps"),
+        }
     }
 }
 
@@ -260,14 +286,15 @@ pub struct TenantSummary {
     pub mean_ps: f64,
 }
 
-/// The result of draining the server.
+/// The result of draining the server. The event logs cover everything
+/// since the previous report; the probe counters are cumulative.
 #[derive(Debug, Clone)]
 pub struct ServeReport {
-    /// All completions, ordered by `(done_ps, tenant, seq)`.
+    /// Completions, ordered by `(done_ps, tenant, seq)`.
     pub completions: Vec<Completion>,
-    /// All sheds, in shed order.
+    /// Sheds, in shed order.
     pub sheds: Vec<Shed>,
-    /// The full schedule, in dispatch order.
+    /// The schedule, in dispatch order.
     pub dispatches: Vec<DispatchRecord>,
     /// Last completion time (0 when nothing completed).
     pub span_ps: Time,
@@ -302,18 +329,27 @@ pub struct Server {
     spad: ScratchpadModel,
     tlb: TenantTlb,
     coh: CoherenceStats,
-    kernels: BTreeMap<String, ServedKernel>,
-    tenants: BTreeMap<String, TenantState>,
-    queues: BTreeMap<String, AdmissionQueue>,
-    pending: BinaryHeap<Reverse<Pending>>,
-    submitted_ids: BTreeSet<(String, u64, u32)>,
+    /// Name → dense id, consulted only where requests enter.
+    kernel_ids: HashMap<String, u32>,
+    tenant_ids: HashMap<String, u32>,
+    /// Indexed by kernel id.
+    kernels: Vec<ServedKernel>,
+    queues: Vec<AdmissionQueue<Pending>>,
+    /// Indexed by tenant id.
+    tenants: Vec<TenantState>,
+    tenant_keys: Vec<TenantKeys>,
+    pending: PendingQueue,
+    /// `(tenant id, seq, retries)` of every live submission.
+    submitted_ids: HashSet<(u32, u64, u32)>,
     slices: Vec<SliceState>,
     probes: CounterRegistry,
     queued: usize,
     now: Time,
     batch_seq: u64,
-    completions: Vec<Completion>,
-    sheds: Vec<Shed>,
+    /// Terminal events since the last report, in emission order. One log
+    /// of [`Outcome`]s (not separate completion and shed logs) so a
+    /// cluster can hand its run hook references instead of clones.
+    outcomes: Vec<Outcome>,
     dispatches: Vec<DispatchRecord>,
 }
 
@@ -358,18 +394,20 @@ impl Server {
                 std::iter::empty::<String>(),
             ),
             coh: CoherenceStats::default(),
-            kernels: BTreeMap::new(),
-            tenants: BTreeMap::new(),
-            queues: BTreeMap::new(),
-            pending: BinaryHeap::new(),
-            submitted_ids: BTreeSet::new(),
+            kernel_ids: HashMap::new(),
+            tenant_ids: HashMap::new(),
+            kernels: Vec::new(),
+            queues: Vec::new(),
+            tenants: Vec::new(),
+            tenant_keys: Vec::new(),
+            pending: PendingQueue::default(),
+            submitted_ids: HashSet::new(),
             slices,
             probes: CounterRegistry::new(),
             queued: 0,
             now: 0,
             batch_seq: 0,
-            completions: Vec::new(),
-            sheds: Vec::new(),
+            outcomes: Vec::new(),
             dispatches: Vec::new(),
         })
     }
@@ -429,7 +467,7 @@ impl Server {
         plan: Arc<ExecPlan>,
         profile: RequestProfile,
     ) -> Result<(), ServeError> {
-        if self.kernels.contains_key(name) {
+        if self.kernel_ids.contains_key(name) {
             return Err(ServeError::DuplicateKernel(name.to_owned()));
         }
         if accel.tile().mccs() != self.cfg.tile_mccs {
@@ -453,21 +491,20 @@ impl Server {
         // at ≤32 lanes and made `max_lanes` above that unreachable).
         let lanes_cap = self.cfg.max_lanes.min(MAX_BATCH_LANES);
         let cycles = profile.cycles_per_item.max(1);
-        self.kernels.insert(
-            name.to_owned(),
-            ServedKernel {
-                plan,
-                profile,
-                func_cycles: cycles.min(FUNC_CYCLES_CAP),
-                compute_cycles: cycles.saturating_mul(steps),
-                cost,
-                lanes_cap,
-                tiles,
-                accel,
-            },
-        );
-        self.queues
-            .insert(name.to_owned(), AdmissionQueue::new(self.cfg.queue_depth));
+        let id = next_id(self.kernels.len())?;
+        self.kernel_ids.insert(name.to_owned(), id);
+        self.kernels.push(ServedKernel {
+            name: name.to_owned(),
+            plan,
+            profile,
+            func_cycles: cycles.min(FUNC_CYCLES_CAP),
+            compute_cycles: cycles.saturating_mul(steps),
+            cost,
+            lanes_cap,
+            tiles,
+            accel,
+        });
+        self.queues.push(AdmissionQueue::new(self.cfg.queue_depth));
         Ok(())
     }
 
@@ -503,11 +540,13 @@ impl Server {
                 "tenant '{name}' weight must be >= 1"
             )));
         }
-        if self.tenants.contains_key(name) {
+        if self.tenant_ids.contains_key(name) {
             return Err(ServeError::DuplicateTenant(name.to_owned()));
         }
-        self.tenants
-            .insert(name.to_owned(), TenantState { weight, vwork: 0 });
+        let id = next_id(self.tenants.len())?;
+        self.tenant_ids.insert(name.to_owned(), id);
+        self.tenants.push(TenantState::new(name, weight));
+        self.tenant_keys.push(TenantKeys::new(name));
         self.rebuild_tlb();
         Ok(())
     }
@@ -517,8 +556,34 @@ impl Server {
     fn rebuild_tlb(&mut self) {
         self.tlb = TenantTlb::new(
             self.cfg.partition.scratchpad_bytes(),
-            self.tenants.keys().cloned(),
+            self.tenants.iter().map(|t| t.name.as_str()),
         );
+    }
+
+    /// The registered kernel called `name`.
+    fn kernel(&self, name: &str) -> Option<&ServedKernel> {
+        self.kernel_ids
+            .get(name)
+            .map(|&id| &self.kernels[id as usize])
+    }
+
+    /// Resolves a request's tenant and kernel names to their ids.
+    ///
+    /// # Errors
+    ///
+    /// Rejects unknown tenants and kernels.
+    fn intern(&self, req: Request) -> Result<Pending, ServeError> {
+        let Some(&tenant) = self.tenant_ids.get(&req.tenant) else {
+            return Err(ServeError::UnknownTenant(req.tenant));
+        };
+        let Some(&kernel) = self.kernel_ids.get(&req.kernel) else {
+            return Err(ServeError::UnknownKernel(req.kernel));
+        };
+        Ok(Pending {
+            tenant,
+            kernel,
+            req,
+        })
     }
 
     /// The scratchpad segment a tenant owns under the current partition
@@ -536,12 +601,12 @@ impl Server {
     /// The mapped netlist of a registered kernel (verification replays
     /// reference execution against it).
     pub fn kernel_netlist(&self, name: &str) -> Option<&Netlist> {
-        self.kernels.get(name).map(|k| k.accel.netlist())
+        self.kernel(name).map(|k| k.accel.netlist())
     }
 
     /// Functional hashing depth of a registered kernel.
     pub fn kernel_func_cycles(&self, name: &str) -> Option<u64> {
-        self.kernels.get(name).map(|k| k.func_cycles)
+        self.kernel(name).map(|k| k.func_cycles)
     }
 
     /// A single-wave service-time estimate for one invocation of a
@@ -550,8 +615,7 @@ impl Server {
     /// pass uses this as the drain rate of its fluid queue model — only
     /// relative magnitudes across kernels matter there.
     pub fn kernel_service_estimate_ps(&self, name: &str) -> Option<Time> {
-        self.kernels
-            .get(name)
+        self.kernel(name)
             .map(|k| self.clock.cycles_to_time(k.compute_cycles.max(1)))
     }
 
@@ -560,7 +624,7 @@ impl Server {
     /// and how many lanes one wave carries (1 when batching is off — every
     /// request then pays a full wave).
     pub fn kernel_fluid_estimate(&self, name: &str) -> Option<FluidEstimate> {
-        self.kernels.get(name).map(|k| FluidEstimate {
+        self.kernel(name).map(|k| FluidEstimate {
             service_ps: self.clock.cycles_to_time(k.compute_cycles.max(1)).max(1),
             swap_ps: k.cost.swap_ps(),
             setup_ps: k.cost.setup_ps(),
@@ -579,27 +643,38 @@ impl Server {
     /// Rejects unknown tenants/kernels and duplicate
     /// `(tenant, seq, retries)` identities.
     pub fn submit(&mut self, req: Request) -> Result<(), ServeError> {
-        if !self.tenants.contains_key(&req.tenant) {
-            return Err(ServeError::UnknownTenant(req.tenant));
-        }
-        if !self.kernels.contains_key(&req.kernel) {
-            return Err(ServeError::UnknownKernel(req.kernel));
-        }
-        let id = (req.tenant.clone(), req.seq, req.retries);
-        if !self.submitted_ids.insert(id) {
+        let p = self.intern(req)?;
+        self.submit_pending(p)
+    }
+
+    /// Submits an already-interned request. A cluster interns once at its
+    /// own boundary and hands shards the ids directly: every shard
+    /// registers the same kernels and tenants in the same order, so the
+    /// ids agree.
+    ///
+    /// # Errors
+    ///
+    /// Rejects duplicate `(tenant, seq, retries)` identities.
+    pub(crate) fn submit_pending(&mut self, p: Pending) -> Result<(), ServeError> {
+        debug_assert_eq!(self.tenants[p.tenant as usize].name, p.req.tenant);
+        debug_assert_eq!(self.kernels[p.kernel as usize].name, p.req.kernel);
+        if !self
+            .submitted_ids
+            .insert((p.tenant, p.req.seq, p.req.retries))
+        {
             return Err(ServeError::DuplicateRequest {
-                tenant: req.tenant,
-                seq: req.seq,
-                retries: req.retries,
+                tenant: p.req.tenant,
+                seq: p.req.seq,
+                retries: p.req.retries,
             });
         }
         self.probes.inc("serve.requests.submitted");
         self.probes
-            .inc(&format!("serve.tenant.{}.submitted", req.tenant));
-        if req.retries > 0 {
+            .inc(&self.tenant_keys[p.tenant as usize].submitted);
+        if p.req.retries > 0 {
             self.probes.inc("serve.requests.retried");
         }
-        self.pending.push(Reverse(Pending(req)));
+        self.pending.push(p);
         Ok(())
     }
 
@@ -651,10 +726,10 @@ impl Server {
     {
         loop {
             if self.queued == 0 {
-                let Some(Reverse(next)) = self.pending.peek() else {
+                let Some(next) = self.pending.peek() else {
                     break;
                 };
-                let t = next.0.arrival_ps;
+                let t = next.req.arrival_ps;
                 if t > until {
                     break;
                 }
@@ -684,6 +759,16 @@ impl Server {
         Ok(())
     }
 
+    /// Terminal events logged since the last report.
+    pub(crate) fn outcome_count(&self) -> usize {
+        self.outcomes.len()
+    }
+
+    /// The `i`-th terminal event logged since the last report.
+    pub(crate) fn outcome(&self, i: usize) -> &Outcome {
+        &self.outcomes[i]
+    }
+
     /// Current simulated time.
     pub fn now(&self) -> Time {
         self.now
@@ -703,7 +788,7 @@ impl Server {
     /// process, or `None` when fully drained. A cluster uses this to skip
     /// idle epochs without perturbing the event order.
     pub fn next_event_ps(&self) -> Option<Time> {
-        let arrival = self.pending.peek().map(|Reverse(p)| p.0.arrival_ps);
+        let arrival = self.pending.peek().map(|p| p.req.arrival_ps);
         if self.queued == 0 {
             return arrival;
         }
@@ -725,30 +810,40 @@ impl Server {
     /// server (`completed + shed + stolen == submitted` stays balanced)
     /// and their identities are released for resubmission on the thief.
     pub fn steal_newest(&mut self, max: usize) -> Vec<Request> {
+        self.steal_newest_pending(max)
+            .into_iter()
+            .map(|p| p.req)
+            .collect()
+    }
+
+    /// [`Server::steal_newest`] keeping the interned ids, for a cluster
+    /// that resubmits the requests on another shard.
+    pub(crate) fn steal_newest_pending(&mut self, max: usize) -> Vec<Pending> {
         let mut out = Vec::new();
         while out.len() < max {
-            let mut victim: Option<(String, usize)> = None;
-            for (name, q) in &self.queues {
-                if q.len() > victim.as_ref().map_or(0, |(_, l)| *l) {
-                    victim = Some((name.clone(), q.len()));
-                }
-            }
-            let Some((name, _)) = victim else {
+            // Deepest queue; equal depths go to the smallest kernel name.
+            let victim = self
+                .queues
+                .iter()
+                .enumerate()
+                .filter(|(_, q)| !q.is_empty())
+                .max_by(|(a, qa), (b, qb)| {
+                    qa.len()
+                        .cmp(&qb.len())
+                        .then_with(|| self.kernels[*b].name.cmp(&self.kernels[*a].name))
+                });
+            let Some((k, _)) = victim else {
                 break;
             };
-            let req = self
-                .queues
-                .get_mut(&name)
-                .expect("victim queue exists")
+            let p = self.queues[k]
                 .pop_newest()
                 .expect("victim queue is non-empty");
             self.queued -= 1;
             self.submitted_ids
-                .remove(&(req.tenant.clone(), req.seq, req.retries));
+                .remove(&(p.tenant, p.req.seq, p.req.retries));
             self.probes.inc("serve.requests.stolen");
-            self.probes
-                .inc(&format!("serve.tenant.{}.stolen", req.tenant));
-            out.push(req);
+            self.probes.inc(&self.tenant_keys[p.tenant as usize].stolen);
+            out.push(p);
         }
         out
     }
@@ -761,10 +856,16 @@ impl Server {
     ///
     /// See [`Server::submit`].
     pub fn submit_stolen(&mut self, req: Request) -> Result<(), ServeError> {
-        let tenant = req.tenant.clone();
-        self.submit(req)?;
+        let p = self.intern(req)?;
+        self.submit_stolen_pending(p)
+    }
+
+    /// [`Server::submit_stolen`] for an already-interned request.
+    pub(crate) fn submit_stolen_pending(&mut self, p: Pending) -> Result<(), ServeError> {
+        let tenant = p.tenant as usize;
+        self.submit_pending(p)?;
         self.probes.inc("serve.requests.stolen_in");
-        self.probes.inc(&format!("serve.tenant.{tenant}.stolen_in"));
+        self.probes.inc(&self.tenant_keys[tenant].stolen_in);
         Ok(())
     }
 
@@ -809,7 +910,7 @@ impl Server {
             delta.export_into(&mut self.probes, "cache.coh");
         }
         let tiles = (partition.mccs() / self.cfg.tile_mccs).max(1);
-        for k in self.kernels.values_mut() {
+        for k in &mut self.kernels {
             k.cost = reconfig_cost_with(
                 &k.accel,
                 &partition,
@@ -843,33 +944,30 @@ impl Server {
     where
         F: FnMut(&Outcome) -> Vec<Request>,
     {
-        while let Some(Reverse(p)) = self.pending.peek() {
-            if p.0.arrival_ps > t {
+        while let Some(p) = self.pending.peek() {
+            if p.req.arrival_ps > t {
                 break;
             }
-            let Reverse(Pending(req)) = self.pending.pop().expect("peeked");
-            let at = req.arrival_ps;
+            let p = self.pending.pop().expect("peeked");
+            let at = p.req.arrival_ps;
             // The TLB guards the scratchpad before the queue does: a
             // declared address outside the tenant's segment faults here,
             // deterministically, and never reaches a slice.
-            if let Some(addr) = req.spad_addr {
+            if let Some(addr) = p.req.spad_addr {
                 self.probes.inc("serve.tlb.accesses");
-                if self.tlb.translate(&req.tenant, addr).is_some() {
+                if self.tlb.translate(&p.req.tenant, addr).is_some() {
                     self.probes.inc("serve.tlb.hits");
                 } else {
                     self.probes.inc("serve.tlb.misses");
                     self.probes.inc("serve.tlb.faults");
                     self.probes
-                        .inc(&format!("serve.tenant.{}.tlb_faults", req.tenant));
-                    self.shed(req, at, ShedReason::TlbFault, hook)?;
+                        .inc(&self.tenant_keys[p.tenant as usize].tlb_faults);
+                    self.shed(p, at, ShedReason::TlbFault, hook)?;
                     continue;
                 }
             }
-            let queue = self
-                .queues
-                .get_mut(&req.kernel)
-                .expect("kernel validated at submit");
-            let result = queue.admit(req, self.cfg.shed);
+            let queue = &mut self.queues[p.kernel as usize];
+            let result = queue.admit(p, self.cfg.shed);
             let depth = queue.len();
             match result {
                 AdmitResult::Admitted => {
@@ -895,7 +993,7 @@ impl Server {
 
     fn shed<F>(
         &mut self,
-        request: Request,
+        p: Pending,
         at_ps: Time,
         reason: ShedReason,
         hook: &mut F,
@@ -904,10 +1002,9 @@ impl Server {
         F: FnMut(&Outcome) -> Vec<Request>,
     {
         self.probes.inc("serve.requests.shed");
-        self.probes
-            .inc(&format!("serve.tenant.{}.shed", request.tenant));
+        self.probes.inc(&self.tenant_keys[p.tenant as usize].shed);
         let outcome = Outcome::Shed(Shed {
-            request,
+            request: p.req,
             at_ps,
             reason,
         });
@@ -927,11 +1024,8 @@ impl Server {
     where
         F: FnMut(&Outcome) -> Vec<Request>,
     {
-        let followups = hook(&outcome);
-        match outcome {
-            Outcome::Completed(c) => self.completions.push(c),
-            Outcome::Shed(s) => self.sheds.push(s),
-        }
+        self.outcomes.push(outcome);
+        let followups = hook(self.outcomes.last().expect("just logged"));
         for mut f in followups {
             f.arrival_ps = f.arrival_ps.max(min_arrival);
             self.submit(f)?;
@@ -944,20 +1038,14 @@ impl Server {
     where
         F: FnMut(&Outcome) -> Vec<Request>,
     {
-        let (kernel_name, anchor) =
-            pick(self.cfg.policy, &self.queues, &self.tenants).expect("queued > 0");
-        let cap = if self.cfg.batching {
-            self.kernels[&kernel_name].lanes_cap
-        } else {
-            1
-        };
-        let queue = self.queues.get_mut(&kernel_name).expect("kernel queue");
-        let batch = take_batch(queue, anchor, cap);
+        let (ki, anchor) = pick(self.cfg.policy, &self.queues, &self.tenants).expect("queued > 0");
+        let ctx = &self.kernels[ki];
+        let cap = if self.cfg.batching { ctx.lanes_cap } else { 1 };
+        let batch = take_batch(&mut self.queues[ki], anchor, cap);
         self.queued -= batch.len();
         let k = batch.len();
 
-        let ctx = &self.kernels[&kernel_name];
-        let resident = self.slices[si].resident.as_deref() == Some(kernel_name.as_str());
+        let resident = self.slices[si].resident == Some(ki);
         let reconfig_ps = if resident {
             0
         } else if self.slices[si].resident.is_none() {
@@ -984,9 +1072,9 @@ impl Server {
         // per-lane latch state makes fresh-start invocations independent.
         let lanes: Vec<Vec<freac_netlist::Value>> = batch
             .iter()
-            .map(|r| synth_inputs(ctx.accel.netlist(), r.seed))
+            .map(|p| synth_inputs(ctx.accel.netlist(), p.req.seed))
             .collect();
-        let single_lane = batch[0].exclusive || !self.cfg.batching;
+        let single_lane = batch[0].req.exclusive || !self.cfg.batching;
         let hashes: Vec<u64> = if single_lane {
             let mut ex = ctx.accel.fold_plan().executor();
             let mut out = Vec::new();
@@ -1012,23 +1100,19 @@ impl Server {
         // is cold-start infrastructure cost and charged to nobody (a
         // one-time setup charged to one tenant would starve them for the
         // whole transient).
-        let anchor_tenant = batch[0].tenant.clone();
+        let anchor_tenant = batch[0].tenant as usize;
         if self.slices[si].resident.is_some() && !resident {
-            if let Some(ts) = self.tenants.get_mut(&anchor_tenant) {
-                ts.charge(reconfig_ps);
-            }
+            self.tenants[anchor_tenant].charge(reconfig_ps);
         }
         let share = exec_ps / k as u64;
-        for r in &batch {
-            if let Some(ts) = self.tenants.get_mut(&r.tenant) {
-                ts.charge(share);
-            }
+        for p in &batch {
+            self.tenants[p.tenant as usize].charge(share);
         }
 
         let batch_id = self.batch_seq;
         self.batch_seq += 1;
         let slice = &mut self.slices[si];
-        slice.resident = Some(kernel_name.clone());
+        slice.resident = Some(ki);
         slice.free_at = done;
         slice.busy_ps += reconfig_ps + exec_ps;
         if !resident {
@@ -1052,26 +1136,25 @@ impl Server {
         if !resident {
             self.probes.inc("serve.reconfigs");
             self.probes.add("serve.reconfig.total_ps", reconfig_ps);
-            self.probes.add(
-                &format!("serve.tenant.{anchor_tenant}.reconfig_ps"),
-                reconfig_ps,
-            );
+            self.probes
+                .add(&self.tenant_keys[anchor_tenant].reconfig_ps, reconfig_ps);
         }
 
         self.dispatches.push(DispatchRecord {
             batch_id,
             at_ps: t,
             slice: si,
-            kernel: kernel_name.clone(),
+            kernel: ctx.name.clone(),
             lanes: k,
             reconfigured: !resident,
             requests: batch
                 .iter()
-                .map(|r| (r.tenant.clone(), r.seq, r.retries))
+                .map(|p| (p.req.tenant.clone(), p.req.seq, p.req.retries))
                 .collect(),
         });
 
-        for (lane, req) in batch.into_iter().enumerate() {
+        for (lane, Pending { tenant, req, .. }) in batch.into_iter().enumerate() {
+            let keys = &self.tenant_keys[tenant as usize];
             let completion = Completion {
                 arrival_ps: req.arrival_ps,
                 start_ps: t,
@@ -1089,16 +1172,13 @@ impl Server {
                 kernel: req.kernel,
             };
             self.probes.inc("serve.requests.completed");
-            self.probes
-                .inc(&format!("serve.tenant.{}.completed", completion.tenant));
+            self.probes.inc(&keys.completed);
             self.probes
                 .observe("serve.queue.wait_ps", completion.queue_wait_ps());
             self.probes
                 .observe("serve.latency_ps", completion.latency_ps());
-            self.probes.observe(
-                &format!("serve.tenant.{}.latency_ps", completion.tenant),
-                completion.latency_ps(),
-            );
+            self.probes
+                .observe(&keys.latency_ps, completion.latency_ps());
             match completion.deadline_met {
                 Some(true) => self.probes.inc("serve.deadlines.met"),
                 Some(false) => self.probes.inc("serve.deadlines.missed"),
@@ -1113,13 +1193,11 @@ impl Server {
     /// a cluster that drives shards via [`Server::run_until`] can collect
     /// per-shard reports after the last epoch; [`Server::run`] calls it
     /// automatically.
+    ///
+    /// The report *drains* the completion, shed, and dispatch logs: they
+    /// move into it, so a later report lists only what happened after this
+    /// one. The probe counters stay cumulative across reports.
     pub fn report(&mut self) -> ServeReport {
-        let span_ps = self
-            .completions
-            .iter()
-            .map(|c| c.done_ps)
-            .max()
-            .unwrap_or(0);
         let mut teardown_ps = 0;
         for (i, s) in self.slices.iter_mut().enumerate() {
             // Slice counters are exported as deltas against the last
@@ -1143,8 +1221,8 @@ impl Server {
             self.probes
                 .add(&format!("serve.slice.{i}.reconfigs"), s.reconfigs);
             s.reconfigs = 0;
-            if let Some(name) = &s.resident {
-                teardown_ps += self.kernels[name].cost.reclaim_ps;
+            if let Some(k) = s.resident {
+                teardown_ps += self.kernels[k].cost.reclaim_ps;
             }
         }
         self.probes.add("serve.teardown.reclaim_ps", teardown_ps);
@@ -1162,27 +1240,36 @@ impl Server {
         self.probes
             .set_gauge("serve.slices", self.cfg.slices as f64);
 
-        let mut completions = self.completions.clone();
+        let outcomes = std::mem::take(&mut self.outcomes);
+        let done = outcomes
+            .iter()
+            .filter(|o| matches!(o, Outcome::Completed(_)))
+            .count();
+        let mut completions = Vec::with_capacity(done);
+        let mut sheds = Vec::with_capacity(outcomes.len() - done);
+        for o in outcomes {
+            match o {
+                Outcome::Completed(c) => completions.push(c),
+                Outcome::Shed(s) => sheds.push(s),
+            }
+        }
         completions
             .sort_by(|a, b| (a.done_ps, &a.tenant, a.seq).cmp(&(b.done_ps, &b.tenant, b.seq)));
-        let tenants = self
-            .tenants
-            .iter()
-            .map(|(name, ts)| {
-                let hist = self
-                    .probes
-                    .histogram(&format!("serve.tenant.{name}.latency_ps"));
+        let span_ps = completions.iter().map(|c| c.done_ps).max().unwrap_or(0);
+        let mut by_name: Vec<usize> = (0..self.tenants.len()).collect();
+        by_name.sort_by(|&a, &b| self.tenants[a].name.cmp(&self.tenants[b].name));
+        let tenants = by_name
+            .into_iter()
+            .map(|t| {
+                let (ts, keys) = (&self.tenants[t], &self.tenant_keys[t]);
+                let hist = self.probes.histogram(&keys.latency_ps);
                 let q = |p: f64| hist.and_then(|h| h.quantile(p)).unwrap_or(0.0);
                 TenantSummary {
-                    name: name.clone(),
+                    name: ts.name.clone(),
                     weight: ts.weight,
-                    submitted: self
-                        .probes
-                        .counter(&format!("serve.tenant.{name}.submitted")),
-                    completed: self
-                        .probes
-                        .counter(&format!("serve.tenant.{name}.completed")),
-                    shed: self.probes.counter(&format!("serve.tenant.{name}.shed")),
+                    submitted: self.probes.counter(&keys.submitted),
+                    completed: self.probes.counter(&keys.completed),
+                    shed: self.probes.counter(&keys.shed),
                     p50_ps: q(0.5),
                     p95_ps: q(0.95),
                     p99_ps: q(0.99),
@@ -1196,8 +1283,8 @@ impl Server {
 
         ServeReport {
             completions,
-            sheds: self.sheds.clone(),
-            dispatches: self.dispatches.clone(),
+            sheds,
+            dispatches: std::mem::take(&mut self.dispatches),
             span_ps,
             teardown_ps,
             probes: self.probes.clone(),
@@ -1556,7 +1643,11 @@ mod tests {
         let r2 = s.run_to_completion().unwrap();
         // Slice busy/span deltas stay additive, so laws hold after both runs.
         freac_probe::assert_ok(&r2.probes);
-        assert_eq!(r2.completions.len(), 2);
+        // Each report drains the logs; counters stay cumulative.
+        assert_eq!(r1.completions.len(), 1);
+        assert_eq!(r2.completions.len(), 1);
+        assert_eq!(r2.completions[0].seq, 1);
+        assert_eq!(r2.probes.counter("serve.requests.completed"), 2);
     }
 
     #[test]

@@ -7,8 +7,8 @@ use freac::core::{Accelerator, AcceleratorTile};
 use freac::kernels::KernelId;
 use freac::netlist::OptLevel;
 use freac::serve::{
-    open_loop_trace, Request, RequestProfile, SchedPolicy, ServeConfig, ServeReport, Server,
-    TenantSpec,
+    open_loop_trace, Cluster, ClusterConfig, ClusterReport, Request, RequestProfile, SchedPolicy,
+    ServeConfig, ServeError, ServeReport, Server, StealConfig, TenantSpec,
 };
 
 const SEED: u64 = 0x7e57_05e1;
@@ -424,4 +424,201 @@ fn stolen_then_shed_requests_terminate_exactly_once() {
         merged.counter("serve.requests.submitted"),
         "merged conservation with migration broke"
     );
+}
+
+/// The mixed workload under overload (shallow queues, exclusives, one
+/// deadline tenant), with tenants and kernels registered in name order
+/// or reversed. Dense ids follow registration order, so the reversed
+/// registration gives every tenant and kernel a different id.
+fn overloaded_specs_and_kernels(reverse: bool) -> (Vec<TenantSpec>, Vec<KernelId>) {
+    let mut specs = mixed_specs();
+    specs[1].exclusive_permille = 250;
+    specs[2].deadline_ps = Some(50_000);
+    let mut kernels = vec![KernelId::Aes, KernelId::Gemm];
+    if reverse {
+        specs.reverse();
+        kernels.reverse();
+    }
+    (specs, kernels)
+}
+
+fn overloaded_shard() -> ServeConfig {
+    ServeConfig {
+        slices: 2,
+        queue_depth: 6,
+        ..ServeConfig::default()
+    }
+}
+
+fn serve_registered(reverse: bool) -> ServeReport {
+    let (specs, kernels) = overloaded_specs_and_kernels(reverse);
+    let mut server = Server::new(overloaded_shard()).expect("config is valid");
+    for k in kernels {
+        server.register_paper_kernel(k).expect("kernel maps");
+    }
+    for s in &specs {
+        server.add_tenant(&s.name, s.weight).expect("unique tenant");
+    }
+    for req in open_loop_trace(&specs, SEED, 1) {
+        server.submit(req).expect("trace request is valid");
+    }
+    server.run_to_completion().expect("serving drains")
+}
+
+fn cluster_registered(reverse: bool) -> ClusterReport {
+    let (specs, kernels) = overloaded_specs_and_kernels(reverse);
+    // Each kernel routes to its home shard, whose single-lane service
+    // keeps the queue deep enough to steal from and shallow enough to
+    // shed.
+    let mut cluster = Cluster::new(ClusterConfig {
+        shards: 4,
+        shard: ServeConfig {
+            slices: 1,
+            queue_depth: 16,
+            batching: false,
+            ..ServeConfig::default()
+        },
+        route: freac::serve::RoutePolicy::KernelAffinity {
+            spill_depth: usize::MAX,
+        },
+        steal: Some(StealConfig {
+            imbalance: 2,
+            max_per_epoch: 8,
+        }),
+        epoch_ps: 10_000,
+        ..ClusterConfig::default()
+    })
+    .expect("config is valid");
+    for k in kernels {
+        cluster.register_paper_kernel(k).expect("kernel maps");
+    }
+    for s in &specs {
+        cluster
+            .add_tenant(&s.name, s.weight)
+            .expect("unique tenant");
+    }
+    for req in open_loop_trace(&specs, SEED, 1) {
+        cluster.submit(req).expect("trace request is valid");
+    }
+    cluster.run_to_completion().expect("serving drains")
+}
+
+#[test]
+fn reverse_name_registration_is_byte_identical() {
+    let fwd = serve_registered(false);
+    let rev = serve_registered(true);
+    assert!(
+        !fwd.sheds.is_empty(),
+        "the workload must shed to test sheds"
+    );
+    assert_eq!(fwd.completions, rev.completions);
+    assert_eq!(fwd.sheds, rev.sheds);
+    assert_eq!(fwd.dispatches, rev.dispatches);
+    assert_eq!(fwd.tenants, rev.tenants);
+    let names: Vec<&str> = fwd.tenants.iter().map(|t| t.name.as_str()).collect();
+    assert_eq!(names, ["alpha", "beta", "delta", "gamma"], "name order");
+    assert_eq!(
+        freac::probe::to_counters_json(&fwd.probes),
+        freac::probe::to_counters_json(&rev.probes)
+    );
+
+    let fwd = cluster_registered(false);
+    let rev = cluster_registered(true);
+    assert!(fwd.steals > 0, "the cluster workload must steal");
+    assert!(!fwd.sheds.is_empty(), "the cluster workload must shed");
+    assert_eq!(fwd.completions, rev.completions);
+    assert_eq!(fwd.sheds, rev.sheds);
+    assert_eq!(fwd.steals, rev.steals);
+    assert_eq!(fwd.tenants, rev.tenants);
+    for (f, r) in fwd.shards.iter().zip(&rev.shards) {
+        assert_eq!(f.completions, r.completions);
+        assert_eq!(f.sheds, r.sheds);
+        assert_eq!(f.dispatches, r.dispatches);
+        assert_eq!(f.tenants, r.tenants);
+    }
+    assert_eq!(
+        freac::probe::to_counters_json(&fwd.probes),
+        freac::probe::to_counters_json(&rev.probes)
+    );
+}
+
+#[test]
+fn stolen_identities_are_released_and_true_duplicates_are_refused() {
+    let mut server = Server::new(ServeConfig {
+        slices: 1,
+        batching: false,
+        ..ServeConfig::default()
+    })
+    .expect("config is valid");
+    server
+        .register_paper_kernel(KernelId::Gemm)
+        .expect("gemm maps");
+    server
+        .register_paper_kernel(KernelId::Aes)
+        .expect("aes maps");
+    server.add_tenant("t", 1).expect("tenant");
+    for i in 0..4 {
+        server
+            .submit(Request::new("t", i, "aes", 0, i))
+            .expect("submit");
+    }
+    server
+        .run_until(0, &mut |_: &freac::serve::Outcome| Vec::new())
+        .expect("prefix runs");
+    let stolen = server.steal_newest(1);
+    assert_eq!(stolen.len(), 1);
+    let req = stolen.into_iter().next().expect("one stolen request");
+    // Its identity was released, so the same request resubmits ...
+    server
+        .submit(req.clone())
+        .expect("released identity resubmits");
+    // ... but only once: the resubmission is live again.
+    assert!(matches!(
+        server.submit(req),
+        Err(ServeError::DuplicateRequest { .. })
+    ));
+    // A retry of a live identity is a distinct identity.
+    let mut retry = Request::new("t", 0, "aes", 10, 0);
+    retry.retries = 1;
+    server.submit(retry).expect("a retry is a new identity");
+    let report = server.run_to_completion().expect("drains");
+    assert_eq!(report.completions.len() + report.sheds.len(), 5);
+
+    // Cluster-wide: identities stay taken after stealing moved them
+    // between shards. Everything routes to one home shard, whose
+    // single-lane service keeps its queue deep enough to steal from.
+    let mut cluster = Cluster::new(ClusterConfig {
+        shards: 4,
+        shard: ServeConfig {
+            slices: 1,
+            queue_depth: 256,
+            batching: false,
+            ..ServeConfig::default()
+        },
+        route: freac::serve::RoutePolicy::KernelAffinity {
+            spill_depth: usize::MAX,
+        },
+        steal: Some(StealConfig {
+            imbalance: 2,
+            max_per_epoch: 64,
+        }),
+        epoch_ps: 10_000,
+        ..ClusterConfig::default()
+    })
+    .expect("config is valid");
+    cluster
+        .register_paper_kernel(KernelId::Aes)
+        .expect("aes maps");
+    cluster.add_tenant("t", 1).expect("tenant");
+    for i in 0..64 {
+        cluster
+            .submit(Request::new("t", i, "aes", 0, i))
+            .expect("submit");
+    }
+    let report = cluster.run_to_completion().expect("drains");
+    assert!(report.steals > 0, "the burst must trigger stealing");
+    assert!(matches!(
+        cluster.submit(Request::new("t", 5, "aes", 0, 5)),
+        Err(ServeError::DuplicateRequest { .. })
+    ));
 }
