@@ -239,7 +239,7 @@ fn main() {
                 let circuit = kernel(id).circuit();
                 (
                     id,
-                    Accelerator::map_shared(&circuit, &tile).expect("kernel maps"),
+                    Arc::new(Accelerator::map(&circuit, &tile).expect("kernel maps")),
                 )
             })
             .collect();

@@ -1,7 +1,5 @@
 //! An accelerator: a circuit mapped and folded onto a tile.
 
-use std::sync::Arc;
-
 use freac_fold::{compile_fold, schedule_fold, FoldPlan, FoldSchedule};
 use freac_netlist::techmap::{tech_map, TechMapOptions};
 use freac_netlist::{optimize, Netlist, NetlistStats, OptLevel, OptOptions, OptReport, Value};
@@ -73,31 +71,6 @@ impl Accelerator {
             opt_level: level,
             opt_report,
         })
-    }
-
-    /// [`Accelerator::map`], returning the result behind an [`Arc`] so one
-    /// synthesized circuit can be shared across threads (the type is
-    /// immutable and `Send + Sync`; execution state lives in per-call
-    /// executors, never in the accelerator itself).
-    ///
-    /// # Errors
-    ///
-    /// Propagates mapping and folding failures.
-    pub fn map_shared(circuit: &Netlist, tile: &AcceleratorTile) -> Result<Arc<Self>, CoreError> {
-        Self::map(circuit, tile).map(Arc::new)
-    }
-
-    /// [`Accelerator::map_with_level`] behind an [`Arc`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates mapping and folding failures.
-    pub fn map_shared_with_level(
-        circuit: &Netlist,
-        tile: &AcceleratorTile,
-        level: OptLevel,
-    ) -> Result<Arc<Self>, CoreError> {
-        Self::map_with_level(circuit, tile, level).map(Arc::new)
     }
 
     /// The optimization level the circuit was mapped at.
@@ -180,6 +153,7 @@ impl Accelerator {
 mod tests {
     use super::*;
     use freac_netlist::builder::CircuitBuilder;
+    use std::sync::Arc;
 
     fn mac_circuit() -> Netlist {
         let mut b = CircuitBuilder::new("fma");
@@ -237,7 +211,7 @@ mod tests {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<Accelerator>();
         let acc =
-            Accelerator::map_shared(&mac_circuit(), &AcceleratorTile::new(1).unwrap()).unwrap();
+            Arc::new(Accelerator::map(&mac_circuit(), &AcceleratorTile::new(1).unwrap()).unwrap());
         let clones: Vec<_> = (0..4).map(|_| Arc::clone(&acc)).collect();
         let outs: Vec<_> = std::thread::scope(|s| {
             clones

@@ -164,13 +164,17 @@ impl ReconfigCost {
 
 /// Quotes the simulated reconfiguration cost of installing `accel` on one
 /// slice split by `partition`, assuming `dirty_fraction` of the flushed
-/// lines are dirty.
+/// lines are dirty and handing the ways over under `mode`.
 ///
 /// The quote is produced by driving a throwaway [`CcCtrl`] through the
 /// SELECT → FLUSH → LOCK → CONFIG_DATA protocol with the accelerator's
 /// actual bitstream size, so it is pinned to the same state machine the
-/// execution path pays; `reclaim_ps` reuses the flush model over the
+/// execution path pays. `reclaim_ps` reuses the handoff model over the
 /// scratchpad ways with a worst-case (all-dirty) fraction.
+/// [`HandoffMode::ConservativeFlush`] prices both as the paper's blind
+/// flush; the coherent mode prices them as a targeted invalidation burst
+/// plus a dirty-line drain (see
+/// [`freac_cache::coherence::handoff_charge`]).
 ///
 /// # Errors
 ///
@@ -184,37 +188,11 @@ pub fn reconfig_cost(
     accel: &crate::accel::Accelerator,
     partition: &SlicePartition,
     dirty_fraction: f64,
-) -> Result<ReconfigCost, CoreError> {
-    reconfig_cost_with(
-        accel,
-        partition,
-        dirty_fraction,
-        HandoffMode::ConservativeFlush,
-    )
-}
-
-/// [`reconfig_cost`] with an explicit [`HandoffMode`]: the conservative
-/// mode reproduces the blind-flush quote exactly, while the coherent mode
-/// prices the claim as a targeted invalidation burst plus a dirty-line
-/// drain (see [`freac_cache::coherence::handoff_charge`]) — both for the
-/// initial claim and for the scratchpad reclaim.
-///
-/// # Errors
-///
-/// As [`reconfig_cost`].
-///
-/// # Panics
-///
-/// As [`reconfig_cost`].
-pub fn reconfig_cost_with(
-    accel: &crate::accel::Accelerator,
-    partition: &SlicePartition,
-    dirty_fraction: f64,
     mode: HandoffMode,
 ) -> Result<ReconfigCost, CoreError> {
     let dram = DramModel::ddr4_2400_x4();
     let ring = RingInterconnect::paper_edge();
-    let mut ctrl = CcCtrl::with_mode(dirty_fraction, mode);
+    let mut ctrl = CcCtrl::new(dirty_fraction, mode);
     ctrl.store(regs::SELECT, encode_ways(partition), &dram)?;
     ctrl.store(regs::FLUSH, 1, &dram)?;
     ctrl.store(regs::LOCK, 1, &dram)?;
@@ -243,59 +221,26 @@ pub fn reconfig_cost_with(
     })
 }
 
-/// Simulated cost, in picoseconds, of re-splitting a slice's ways from
-/// one partition to another — the elastic way-autoscaling step that
-/// converts ways between cache service and LUT fabric/scratchpad.
+/// Simulated protocol traffic of re-splitting a slice's ways from one
+/// partition to another — the elastic way-autoscaling step that converts
+/// ways between cache service and LUT fabric/scratchpad.
 ///
-/// Two flush charges model the conversion:
+/// Two handoff charges model the conversion, summed:
 ///
 /// * ways *claimed* from cache service (growth of `compute + scratchpad`)
-///   must be flushed of `dirty_fraction` dirty lines before they can be
-///   locked, at the same DRAM-bound rate the SELECT → FLUSH protocol
-///   walk pays;
+///   hold `dirty_fraction` dirty lines that must leave before the ways can
+///   be locked, priced as the SELECT → FLUSH protocol walk prices them;
 /// * scratchpad ways *returned* to cache service carry all-dirty contents
-///   by definition, so handing them back costs a worst-case flush (the
-///   same model as [`ReconfigCost::reclaim_ps`]).
+///   by definition (the same model as [`ReconfigCost::reclaim_ps`]).
 ///
 /// Shrinking pure compute ways back to cache is free: LUT configuration
 /// is not architectural state, so the ways only need unlocking. The
 /// bitstream re-streaming for whatever accelerator lands on the new
-/// partition is charged separately through [`reconfig_cost`].
-///
-/// # Panics
-///
-/// Panics if `dirty_fraction` is outside `[0, 1]`.
-pub fn way_conversion_cost(
-    from: &SlicePartition,
-    to: &SlicePartition,
-    dirty_fraction: f64,
-) -> Time {
-    assert!((0.0..=1.0).contains(&dirty_fraction));
-    way_conversion_charge(from, to, dirty_fraction, HandoffMode::ConservativeFlush).stall_ps
-}
-
-/// [`way_conversion_cost`] with an explicit [`HandoffMode`].
-///
-/// # Panics
-///
-/// Panics if `dirty_fraction` is outside `[0, 1]`.
-pub fn way_conversion_cost_with(
-    from: &SlicePartition,
-    to: &SlicePartition,
-    dirty_fraction: f64,
-    mode: HandoffMode,
-) -> Time {
-    assert!((0.0..=1.0).contains(&dirty_fraction));
-    way_conversion_charge(from, to, dirty_fraction, mode).stall_ps
-}
-
-/// The full protocol-traffic quote behind [`way_conversion_cost_with`]:
-/// one charge for the ways claimed from cache service (at
-/// `dirty_fraction`), one for the scratchpad ways returned to it
-/// (all-dirty), summed. Under [`HandoffMode::ConservativeFlush`] the
-/// combined `stall_ps` equals the legacy two-flush model exactly; under
-/// the protocol it is the targeted invalidation + drain cost, and the
-/// line/message counts are what a server exports under `cache.coh.*`.
+/// partition is charged separately through [`reconfig_cost`]. Under
+/// [`HandoffMode::ConservativeFlush`] the combined `stall_ps` is the
+/// two-flush model exactly; under the protocol it is the targeted
+/// invalidation + drain cost, and the line/message counts are what a
+/// server exports under `cache.coh.*`.
 pub fn way_conversion_charge(
     from: &SlicePartition,
     to: &SlicePartition,
@@ -339,25 +284,16 @@ pub struct CcCtrl {
 
 impl CcCtrl {
     /// A controller for one slice of the paper's LLC, assuming
-    /// `dirty_fraction` of flushed lines are dirty. Uses the conservative
-    /// whole-claim flush.
+    /// `dirty_fraction` of flushed lines are dirty. Its FLUSH step charges
+    /// the given [`HandoffMode`]: [`HandoffMode::ConservativeFlush`] is the
+    /// paper's whole-claim flush, the coherent mode charges the targeted
+    /// invalidation protocol instead and accumulates its traffic in
+    /// [`CcCtrl::coherence_stats`].
     ///
     /// # Panics
     ///
     /// Panics if `dirty_fraction` is outside `[0, 1]`.
-    pub fn new(dirty_fraction: f64) -> Self {
-        CcCtrl::with_mode(dirty_fraction, HandoffMode::ConservativeFlush)
-    }
-
-    /// A controller whose FLUSH step charges the given [`HandoffMode`]:
-    /// the conservative mode is byte-identical to [`CcCtrl::new`], the
-    /// coherent mode charges the targeted invalidation protocol instead
-    /// and accumulates its traffic in [`CcCtrl::coherence_stats`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `dirty_fraction` is outside `[0, 1]`.
-    pub fn with_mode(dirty_fraction: f64, handoff: HandoffMode) -> Self {
+    pub fn new(dirty_fraction: f64, handoff: HandoffMode) -> Self {
         assert!((0.0..=1.0).contains(&dirty_fraction));
         CcCtrl {
             state: CtrlState::Idle,
@@ -547,7 +483,7 @@ mod tests {
 
     #[test]
     fn happy_path_flow() {
-        let mut c = CcCtrl::new(0.5);
+        let mut c = CcCtrl::new(0.5, HandoffMode::ConservativeFlush);
         drive_to_configured(&mut c);
         assert_eq!(c.state(), CtrlState::Configured);
         let d = dram();
@@ -565,7 +501,7 @@ mod tests {
 
     #[test]
     fn run_before_configure_rejected() {
-        let mut c = CcCtrl::new(0.0);
+        let mut c = CcCtrl::new(0.0, HandoffMode::ConservativeFlush);
         let d = dram();
         assert!(matches!(
             c.store(regs::RUN, 1, &d),
@@ -578,14 +514,14 @@ mod tests {
 
     #[test]
     fn flush_requires_selection() {
-        let mut c = CcCtrl::new(0.0);
+        let mut c = CcCtrl::new(0.0, HandoffMode::ConservativeFlush);
         let d = dram();
         assert!(c.store(regs::FLUSH, 1, &d).is_err());
     }
 
     #[test]
     fn unmapped_address() {
-        let mut c = CcCtrl::new(0.0);
+        let mut c = CcCtrl::new(0.0, HandoffMode::ConservativeFlush);
         let d = dram();
         assert!(matches!(
             c.store(0x1000, 0, &d),
@@ -596,7 +532,7 @@ mod tests {
 
     #[test]
     fn clean_flush_is_free() {
-        let mut c = CcCtrl::new(0.0);
+        let mut c = CcCtrl::new(0.0, HandoffMode::ConservativeFlush);
         let d = dram();
         let p = SlicePartition::max_compute();
         c.store(regs::SELECT, encode_ways(&p), &d).unwrap();
@@ -606,7 +542,7 @@ mod tests {
 
     #[test]
     fn reconfiguration_after_done() {
-        let mut c = CcCtrl::new(0.0);
+        let mut c = CcCtrl::new(0.0, HandoffMode::ConservativeFlush);
         drive_to_configured(&mut c);
         let d = dram();
         c.store(regs::RUN, 1, &d).unwrap();
@@ -635,12 +571,12 @@ mod tests {
         let accel = Accelerator::map(&circuit, &AcceleratorTile::new(1).unwrap()).unwrap();
 
         let p = SlicePartition::end_to_end();
-        let cost = reconfig_cost(&accel, &p, 0.5).unwrap();
+        let cost = reconfig_cost(&accel, &p, 0.5, HandoffMode::ConservativeFlush).unwrap();
 
         // The quote must equal what a hand-driven protocol walk with the
         // same bitstream accumulates in SetupTiming.
         let d = dram();
-        let mut c = CcCtrl::new(0.5);
+        let mut c = CcCtrl::new(0.5, HandoffMode::ConservativeFlush);
         c.store(regs::SELECT, encode_ways(&p), &d).unwrap();
         c.store(regs::FLUSH, 1, &d).unwrap();
         c.store(regs::LOCK, 1, &d).unwrap();
@@ -670,7 +606,7 @@ mod tests {
         );
 
         // Clean ways flush for free; the bitstream still has to stream.
-        let clean = reconfig_cost(&accel, &p, 0.0).unwrap();
+        let clean = reconfig_cost(&accel, &p, 0.0, HandoffMode::ConservativeFlush).unwrap();
         assert_eq!(clean.flush_ps, 0);
         assert_eq!(clean.config_ps, cost.config_ps);
         assert_eq!(clean.reclaim_ps, cost.reclaim_ps);
@@ -678,6 +614,9 @@ mod tests {
 
     #[test]
     fn way_conversion_cost_is_pinned_to_the_flush_model() {
+        let conversion_stall = |from, to, dirty| {
+            way_conversion_charge(from, to, dirty, HandoffMode::ConservativeFlush).stall_ps
+        };
         let d = dram();
         let geometry = LlcGeometry::paper_edge();
         let balanced = SlicePartition::balanced(); // (8, 12, 0)
@@ -685,35 +624,35 @@ mod tests {
         let e2e = SlicePartition::end_to_end(); // (8, 10, 2)
 
         // Identity conversion moves nothing.
-        assert_eq!(way_conversion_cost(&balanced, &balanced, 0.5), 0);
+        assert_eq!(conversion_stall(&balanced, &balanced, 0.5), 0);
 
         // Growing compute from cache: flush exactly the claimed ways at
         // the requested dirty fraction. (8,10,2) → (10,10,0) claims 2.
         let grown = SlicePartition::new(10, 10, 0).unwrap();
         assert_eq!(
-            way_conversion_cost(&e2e, &grown, 0.5),
+            conversion_stall(&e2e, &grown, 0.5),
             flush_ways_time(&geometry, 2, 0.5, &d)
         );
-        assert!(way_conversion_cost(&e2e, &grown, 0.5) > 0);
+        assert!(conversion_stall(&e2e, &grown, 0.5) > 0);
         // Clean claimed ways convert for free.
-        assert_eq!(way_conversion_cost(&e2e, &grown, 0.0), 0);
+        assert_eq!(conversion_stall(&e2e, &grown, 0.0), 0);
 
         // Shrinking compute back to cache is free (LUT state needs no
         // writeback), but returning scratchpad ways pays an all-dirty
         // flush regardless of the claimed-way dirty fraction.
-        assert_eq!(way_conversion_cost(&grown, &e2e, 0.0), 0);
+        assert_eq!(conversion_stall(&grown, &e2e, 0.0), 0);
         let spad_heavy = SlicePartition::new(4, 12, 4).unwrap();
         let spad_light = SlicePartition::new(4, 4, 12).unwrap();
         assert_eq!(
-            way_conversion_cost(&spad_heavy, &spad_light, 0.0),
+            conversion_stall(&spad_heavy, &spad_light, 0.0),
             flush_ways_time(&geometry, 8, 1.0, &d)
         );
-        assert!(way_conversion_cost(&spad_heavy, &spad_light, 0.0) > 0);
+        assert!(conversion_stall(&spad_heavy, &spad_light, 0.0) > 0);
 
         // Balanced → max-compute claims 0 extra ways (8+12 == 16+4) but
         // returns 8 scratchpad ways, all dirty.
         assert_eq!(
-            way_conversion_cost(&balanced, &maxed, 1.0),
+            conversion_stall(&balanced, &maxed, 1.0),
             flush_ways_time(&geometry, 8, 1.0, &d)
         );
     }
@@ -735,19 +674,23 @@ mod tests {
         let accel = Accelerator::map(&circuit, &AcceleratorTile::new(1).unwrap()).unwrap();
         let p = SlicePartition::end_to_end();
 
-        let flat = reconfig_cost_with(&accel, &p, 0.5, HandoffMode::ConservativeFlush).unwrap();
-        // The mode-aware conservative quote is byte-identical to the
-        // legacy API.
-        assert_eq!(flat, reconfig_cost(&accel, &p, 0.5).unwrap());
+        let flat = reconfig_cost(&accel, &p, 0.5, HandoffMode::ConservativeFlush).unwrap();
+        // The conservative quote is the paper's blind flush of every
+        // claimed way.
+        let claimed = p.compute_ways() + p.scratchpad_ways();
+        assert_eq!(
+            flat.flush_ps,
+            flush_ways_time(&LlcGeometry::paper_edge(), claimed, 0.5, &dram())
+        );
 
-        let coh = reconfig_cost_with(&accel, &p, 0.5, HandoffMode::coherent()).unwrap();
+        let coh = reconfig_cost(&accel, &p, 0.5, HandoffMode::coherent()).unwrap();
         assert!(coh.flush_ps < flat.flush_ps, "targeted claim beats flush");
         assert!(coh.reclaim_ps < flat.reclaim_ps, "targeted reclaim too");
         assert_eq!(coh.config_ps, flat.config_ps, "bitstream cost unchanged");
 
         // The controller records the protocol traffic it charged.
         let d = dram();
-        let mut c = CcCtrl::with_mode(0.5, HandoffMode::coherent());
+        let mut c = CcCtrl::new(0.5, HandoffMode::coherent());
         c.store(regs::SELECT, encode_ways(&p), &d).unwrap();
         c.store(regs::FLUSH, 1, &d).unwrap();
         let stats = c.coherence_stats();
@@ -755,7 +698,7 @@ mod tests {
         assert!(stats.invalidations > 0);
         assert!(stats.writeback_pulls <= stats.invalidations);
         // The conservative controller sends no messages.
-        let mut flatc = CcCtrl::new(0.5);
+        let mut flatc = CcCtrl::new(0.5, HandoffMode::ConservativeFlush);
         flatc.store(regs::SELECT, encode_ways(&p), &d).unwrap();
         flatc.store(regs::FLUSH, 1, &d).unwrap();
         assert_eq!(flatc.coherence_stats(), CoherenceStats::default());
@@ -765,17 +708,21 @@ mod tests {
     fn coherent_way_conversion_is_cheaper_and_quotes_traffic() {
         let e2e = SlicePartition::end_to_end(); // (8, 10, 2)
         let grown = SlicePartition::new(10, 10, 0).unwrap();
-        let flat = way_conversion_cost_with(&e2e, &grown, 0.5, HandoffMode::ConservativeFlush);
-        assert_eq!(flat, way_conversion_cost(&e2e, &grown, 0.5));
-        let coh = way_conversion_cost_with(&e2e, &grown, 0.5, HandoffMode::coherent());
-        assert!(coh < flat, "coherent {coh} must beat flush {flat}");
+        let flat =
+            way_conversion_charge(&e2e, &grown, 0.5, HandoffMode::ConservativeFlush).stall_ps;
+        // The conservative charge is the blind flush of the 2 claimed ways.
+        assert_eq!(
+            flat,
+            flush_ways_time(&LlcGeometry::paper_edge(), 2, 0.5, &dram())
+        );
         let charge = way_conversion_charge(&e2e, &grown, 0.5, HandoffMode::coherent());
-        assert_eq!(charge.stall_ps, coh);
+        let coh = charge.stall_ps;
+        assert!(coh < flat, "coherent {coh} must beat flush {flat}");
         assert!(charge.lines_touched > 0);
         assert!(charge.writeback_lines <= charge.lines_touched);
         // Identity conversion is free in both modes.
         assert_eq!(
-            way_conversion_cost_with(&e2e, &e2e, 0.5, HandoffMode::coherent()),
+            way_conversion_charge(&e2e, &e2e, 0.5, HandoffMode::coherent()).stall_ps,
             0
         );
     }
@@ -790,7 +737,7 @@ mod tests {
 
     #[test]
     fn status_codes_progress() {
-        let mut c = CcCtrl::new(0.0);
+        let mut c = CcCtrl::new(0.0, HandoffMode::ConservativeFlush);
         let d = dram();
         assert_eq!(c.load(regs::STATUS).unwrap(), 0);
         let p = SlicePartition::balanced();

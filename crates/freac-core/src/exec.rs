@@ -22,6 +22,7 @@ use crate::ccctrl::{encode_ways, regs, CcCtrl, SetupTiming};
 use crate::error::CoreError;
 use crate::partition::SlicePartition;
 use crate::scratchpad::ScratchpadModel;
+use crate::HandoffMode;
 
 /// Switch-box links per slice (paper Sec. V-A: 28 switch boxes).
 pub const LINKS_PER_SLICE: usize = 28;
@@ -182,7 +183,7 @@ pub fn run_kernel(
 
     // --- Setup via the host-interface protocol. ---
     let dram = DramModel::ddr4_2400_x4();
-    let mut ctrl = CcCtrl::new(cfg.dirty_fraction);
+    let mut ctrl = CcCtrl::new(cfg.dirty_fraction, HandoffMode::ConservativeFlush);
     // SELECT, FLUSH, LOCK, CONFIG_DATA, RUN — plus SPAD_FILL when the
     // partition has scratchpad ways and there is input to stage.
     let mut protocol_stores: u64 = 5;

@@ -16,6 +16,7 @@ use crate::accel::Accelerator;
 use crate::ccctrl::{encode_ways, regs, CcCtrl};
 use crate::error::CoreError;
 use crate::exec::{run_kernel, ExecConfig, KernelRun, KernelSpec};
+use crate::HandoffMode;
 
 /// One offload executed within a session.
 #[derive(Debug, Clone)]
@@ -83,7 +84,7 @@ impl OffloadSession {
             });
         }
         let dram = DramModel::ddr4_2400_x4();
-        let mut ctrl = CcCtrl::new(cfg.dirty_fraction);
+        let mut ctrl = CcCtrl::new(cfg.dirty_fraction, HandoffMode::ConservativeFlush);
         ctrl.store(regs::SELECT, encode_ways(&cfg.partition), &dram)?;
         ctrl.store(regs::FLUSH, 1, &dram)?;
         ctrl.store(regs::LOCK, 1, &dram)?;

@@ -132,7 +132,8 @@ pub fn map_kernel_at_level(
     // racing duplicate insert is benign (both runs are deterministic and
     // produce identical accelerators — last write wins).
     let res = AcceleratorTile::with_mode(tile_mccs, mode)
-        .and_then(|tile| Accelerator::map_shared_with_level(&kernel(id).circuit(), &tile, level));
+        .and_then(|tile| Accelerator::map_with_level(&kernel(id).circuit(), &tile, level))
+        .map(Arc::new);
     if let (Ok(accel), Some(p)) = (&res, freac_probe::global::global()) {
         // Optimization deltas are deterministic per cell, so publish them
         // as idempotent gauges: racing cache misses for the same cell write

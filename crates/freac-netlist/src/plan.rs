@@ -2,7 +2,7 @@
 //! micro-op stream.
 //!
 //! [`Evaluator`](crate::eval::Evaluator) re-dispatches on
-//! [`NodeKind`](crate::graph::NodeKind) for every node of every cycle and
+//! [`NodeKind`] for every node of every cycle and
 //! returns a freshly allocated output `Vec` per call. An [`ExecPlan`] pays
 //! that analysis cost once, at compile time — the same pay-once insight the
 //! paper's config-row streaming applies in hardware (one pre-resolved

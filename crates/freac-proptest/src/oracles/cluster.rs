@@ -351,6 +351,12 @@ pub fn check_single_shard_equivalence(case: &ClusterCase) -> Result<(), String> 
     if clustered.sheds != plain.sheds {
         return Err("1-shard cluster sheds diverge from the plain server".into());
     }
+    if clustered.tenants != plain.tenants {
+        return Err(format!(
+            "1-shard cluster tenant summaries diverge from the plain server:\n  {:?}\n  vs\n  {:?}",
+            clustered.tenants, plain.tenants
+        ));
+    }
     let shard = &clustered.shards[0];
     if shard.dispatches != plain.dispatches {
         return Err(format!(

@@ -6,7 +6,7 @@
 //! from power-on and the wider sweeps reproduce the 64-lane outputs
 //! lane-for-lane.
 //!
-//! Reuses [`FoldCase`](super::fold::FoldCase) generation/shrinking so a
+//! Reuses [`FoldCase`] generation/shrinking so a
 //! divergence shrinks over the same circuit grammar as the fold oracle.
 
 use freac_netlist::eval::Evaluator;

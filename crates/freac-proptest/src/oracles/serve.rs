@@ -171,7 +171,7 @@ pub(crate) fn kernel_pool() -> &'static [(String, Arc<Accelerator>, RequestProfi
         vec![
             (
                 "add".to_owned(),
-                Accelerator::map_shared(&adder, &tile).expect("adder maps"),
+                Arc::new(Accelerator::map(&adder, &tile).expect("adder maps")),
                 RequestProfile {
                     cycles_per_item: 2,
                     read_words: 4,
@@ -180,7 +180,7 @@ pub(crate) fn kernel_pool() -> &'static [(String, Arc<Accelerator>, RequestProfi
             ),
             (
                 "mask".to_owned(),
-                Accelerator::map_shared(&masker, &tile).expect("masker maps"),
+                Arc::new(Accelerator::map(&masker, &tile).expect("masker maps")),
                 RequestProfile {
                     cycles_per_item: 1,
                     read_words: 2,

@@ -5,7 +5,7 @@
 //! that trade dynamic: a shard whose backlog stays high for `up_epochs`
 //! consecutive epochs converts `step_ways` cache ways into compute; one
 //! that idles for `down_epochs` epochs hands them back. Each conversion is
-//! charged through `freac_core::way_conversion_cost` and evicts residents
+//! charged through `freac_core::way_conversion_charge` and evicts residents
 //! (the LUT fabric was rebuilt), so scaling is never free — the gates
 //! verify it still beats a static split on spiky load.
 

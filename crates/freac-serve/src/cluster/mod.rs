@@ -26,12 +26,13 @@
 //! before its clock reaches it.
 //!
 //! With [`ClusterConfig::workers`] > 1 the per-epoch shard pumping fans
-//! out over a pool of scoped threads. Shards share no state inside an
-//! epoch, each shard's events are gathered separately and flattened in
-//! shard-index order before the same stable merge sort, and every
-//! cross-shard decision (routing, stealing, autoscaling, the hook) stays
-//! on the calling thread — so parallel stepping is byte-identical to
-//! sequential, which the cluster proptest oracle asserts.
+//! out over the calling thread plus a pool of scoped helper threads.
+//! Shards share no state inside an epoch, each shard's events are
+//! gathered separately and flattened in shard-index order before the
+//! stable merge sort, and every cross-shard decision (routing, stealing,
+//! autoscaling, the hook) stays on the calling thread — so the result
+//! does not depend on the worker count, which the cluster proptest
+//! oracle asserts.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::{mpsc, Arc};
@@ -45,7 +46,9 @@ use freac_sim::Time;
 use crate::error::ServeError;
 use crate::pending::{next_id, Pending, PendingQueue};
 use crate::request::{Completion, Outcome, Request, Shed, ShedReason};
-use crate::server::{RequestProfile, ServeConfig, ServeReport, Server, TenantKeys, TenantSummary};
+use crate::server::{
+    tenant_summaries, RequestProfile, ServeConfig, ServeReport, Server, TenantSummary,
+};
 
 mod autoscale;
 mod router;
@@ -152,13 +155,6 @@ struct Shard {
     server: Server,
     scale: AutoscaleState,
 }
-
-/// One shard dispatched to a pool worker for an epoch of pumping.
-type ShardJob = (usize, Shard, Time);
-/// A pumped shard back from its worker, with the pump's result.
-type ShardEpoch = (Shard, Result<(), ServeError>);
-/// A worker's reply, labelled by shard index for in-order reinstall.
-type ShardDone = (usize, Shard, Result<(), ServeError>);
 
 /// The result of draining a cluster.
 #[derive(Debug, Clone)]
@@ -283,7 +279,7 @@ impl Cluster {
         profile: RequestProfile,
     ) -> Result<(), ServeError> {
         let tile = AcceleratorTile::new(self.cfg.shard.tile_mccs)?;
-        let accel = Accelerator::map_shared(circuit, &tile)?;
+        let accel = Arc::new(Accelerator::map(circuit, &tile)?);
         self.register_accelerator(name, accel, profile)
     }
 
@@ -431,82 +427,55 @@ impl Cluster {
         F: FnMut(&Outcome) -> Vec<Request>,
     {
         let workers = self.cfg.workers.min(self.cfg.shards);
-        if workers > 1 {
-            self.run_epochs_parallel(workers, &mut hook)?;
-        } else {
-            self.run_epochs(&mut hook)?;
-        }
+        self.run_epochs(workers, &mut hook)?;
         Ok(self.report())
     }
 
-    /// The sequential epoch loop: every shard is pumped on the calling
+    /// The epoch loop. Shard pumping runs on the calling thread plus
+    /// `workers - 1` scoped helper threads that live for the whole run
+    /// (spawning per epoch would dwarf the pumping work); at one worker
+    /// nothing is spawned and every shard is pumped inline. Routing,
+    /// stealing, autoscaling, and the run hook stay on the calling
     /// thread.
-    fn run_epochs<F>(&mut self, hook: &mut F) -> Result<(), ServeError>
-    where
-        F: FnMut(&Outcome) -> Vec<Request>,
-    {
-        let epoch = self.cfg.epoch_ps;
-        while let Some(next) = self.next_event_ps() {
-            if next > self.now {
-                // Skip whole idle epochs, landing on the grid point at or
-                // below the next event so decisions stay epoch-aligned.
-                self.now = self.now.max(next - next % epoch);
-            }
-            let epoch_end = self.now.saturating_add(epoch);
-            self.autoscale_epoch()?;
-            self.route_arrivals(epoch_end, hook)?;
-            self.steal_epoch();
-            self.pump_shards(epoch_end, hook)?;
-            self.now = epoch_end;
-        }
-        Ok(())
-    }
-
-    /// The same epoch loop with shard pumping fanned out over a pool of
-    /// `workers` scoped threads that live for the whole run (spawning per
-    /// epoch would dwarf the pumping work). Each epoch the shards are sent
-    /// to their fixed workers, pumped concurrently, and barrier-merged:
-    /// every shard's events come back labelled by shard index, are
-    /// flattened in index order — exactly the order the sequential loop
-    /// appends them in — and then pass through the same stable sort, so
-    /// results are byte-identical to sequential stepping. Routing,
-    /// stealing, autoscaling, and the run hook stay on the calling thread.
-    fn run_epochs_parallel<F>(&mut self, workers: usize, hook: &mut F) -> Result<(), ServeError>
+    fn run_epochs<F>(&mut self, workers: usize, hook: &mut F) -> Result<(), ServeError>
     where
         F: FnMut(&Outcome) -> Vec<Request>,
     {
         std::thread::scope(|scope| {
-            let mut txs: Vec<mpsc::Sender<ShardJob>> = Vec::with_capacity(workers);
-            let (done_tx, done_rx) = mpsc::channel::<ShardDone>();
-            for _ in 0..workers {
-                let (tx, rx) = mpsc::channel::<ShardJob>();
-                txs.push(tx);
-                let done_tx = done_tx.clone();
-                scope.spawn(move || {
-                    while let Ok((i, mut shard, epoch_end)) = rx.recv() {
-                        let r = shard.server.run_until(epoch_end, &mut no_follow_ups);
-                        if done_tx.send((i, shard, r)).is_err() {
-                            return;
+            let (done_tx, done_rx) = mpsc::channel();
+            let helpers: Vec<mpsc::Sender<(usize, Shard, Time)>> = (1..workers)
+                .map(|_| {
+                    let (tx, rx) = mpsc::channel::<(usize, Shard, Time)>();
+                    let done_tx = done_tx.clone();
+                    scope.spawn(move || {
+                        for (i, mut shard, epoch_end) in rx {
+                            let r = shard.server.run_until(epoch_end, &mut no_follow_ups);
+                            if done_tx.send((i, shard, r)).is_err() {
+                                return;
+                            }
                         }
-                    }
-                });
-            }
+                    });
+                    tx
+                })
+                .collect();
             drop(done_tx);
             let epoch = self.cfg.epoch_ps;
             while let Some(next) = self.next_event_ps() {
                 if next > self.now {
+                    // Skip whole idle epochs, landing on the grid point at
+                    // or below the next event so decisions stay
+                    // epoch-aligned.
                     self.now = self.now.max(next - next % epoch);
                 }
                 let epoch_end = self.now.saturating_add(epoch);
                 self.autoscale_epoch()?;
                 self.route_arrivals(epoch_end, hook)?;
                 self.steal_epoch();
-                self.pump_shards_pooled(&txs, &done_rx, epoch_end, hook)?;
+                self.pump_shards(&helpers, &done_rx, epoch_end, hook)?;
                 self.now = epoch_end;
             }
-            // Dropping the job senders ends the workers; the scope joins
-            // them on exit.
-            drop(txs);
+            // Returning drops the job senders, which ends the helpers; the
+            // scope joins them.
             Ok(())
         })
     }
@@ -641,26 +610,17 @@ impl Cluster {
     }
 
     /// Pumps every shard to the epoch boundary, then feeds the merged,
-    /// canonically ordered terminal events to the run hook.
-    fn pump_shards<F>(&mut self, epoch_end: Time, hook: &mut F) -> Result<(), ServeError>
-    where
-        F: FnMut(&Outcome) -> Vec<Request>,
-    {
-        let marks = self.outcome_marks();
-        for sh in &mut self.shards {
-            sh.server.run_until(epoch_end, &mut no_follow_ups)?;
-        }
-        self.merge_epoch_events(&marks, hook)
-    }
-
-    /// One epoch of shard pumping on the worker pool: shards are moved to
-    /// their workers (shard `i` of `n` always goes to worker
-    /// `i * workers / n`, a fixed contiguous chunking), pumped to the
-    /// epoch boundary, and reinstalled in index order.
-    fn pump_shards_pooled<F>(
+    /// canonically ordered terminal events to the run hook. Shard `i` of
+    /// `n` is pumped by worker `i * workers / n`, a fixed contiguous
+    /// chunking: worker 0 is the calling thread, which pumps its chunk in
+    /// place while the other chunks travel to their helpers and back.
+    /// Every shard is reinstalled in index order before any error is
+    /// surfaced, so the cluster stays intact; the first error in shard
+    /// order wins.
+    fn pump_shards<F>(
         &mut self,
-        txs: &[mpsc::Sender<ShardJob>],
-        done_rx: &mpsc::Receiver<ShardDone>,
+        helpers: &[mpsc::Sender<(usize, Shard, Time)>],
+        done: &mpsc::Receiver<(usize, Shard, Result<(), ServeError>)>,
         epoch_end: Time,
         hook: &mut F,
     ) -> Result<(), ServeError>
@@ -669,33 +629,37 @@ impl Cluster {
     {
         let marks = self.outcome_marks();
         let n = self.shards.len();
-        let workers = txs.len();
-        for (i, sh) in std::mem::take(&mut self.shards).into_iter().enumerate() {
-            txs[i * workers / n]
+        let workers = helpers.len() + 1;
+        let own = n.div_ceil(workers);
+        let sent = n - own;
+        for (i, sh) in (own..).zip(self.shards.split_off(own)) {
+            helpers[i * workers / n - 1]
                 .send((i, sh, epoch_end))
-                .expect("shard worker exited before the epoch loop finished");
+                .expect("shard helper exited before the epoch loop finished");
         }
-        let mut slots: Vec<Option<ShardEpoch>> = (0..n).map(|_| None).collect();
-        for _ in 0..n {
-            let (i, sh, r) = done_rx
-                .recv()
-                .expect("shard worker exited before the epoch loop finished");
-            slots[i] = Some((sh, r));
-        }
-        // Reinstall every shard before surfacing any error so the cluster
-        // stays intact.
         let mut first_err = None;
-        for slot in slots {
-            let (sh, r) = slot.expect("every shard reports exactly once per epoch");
+        for sh in &mut self.shards {
+            if let Err(e) = sh.server.run_until(epoch_end, &mut no_follow_ups) {
+                first_err.get_or_insert(e);
+            }
+        }
+        let mut back: Vec<_> = done.iter().take(sent).collect();
+        assert_eq!(
+            back.len(),
+            sent,
+            "shard helper exited before the epoch loop finished"
+        );
+        back.sort_unstable_by_key(|&(i, ..)| i);
+        for (_, sh, r) in back {
             self.shards.push(sh);
             if let Err(e) = r {
                 first_err.get_or_insert(e);
             }
         }
-        if let Some(e) = first_err {
-            return Err(e);
+        match first_err {
+            Some(e) => Err(e),
+            None => self.merge_epoch_events(&marks, hook),
         }
-        self.merge_epoch_events(&marks, hook)
     }
 
     /// Every shard's outcome-log length: where this epoch's events start.
@@ -708,9 +672,9 @@ impl Cluster {
 
     /// Feeds one epoch's terminal events — every shard's log past its
     /// mark — to the run hook in the canonical order: shard-index order
-    /// first, then a stable sort by [`outcome_key`]. Shared by the
-    /// sequential and pooled pumps, so both behave identically. The hook
-    /// sees each event in place in its shard's log; nothing is cloned.
+    /// first, then a stable sort by [`outcome_key`], whichever worker
+    /// pumped each shard. The hook sees each event in place in its
+    /// shard's log; nothing is cloned.
     fn merge_epoch_events<F>(&mut self, marks: &[usize], hook: &mut F) -> Result<(), ServeError>
     where
         F: FnMut(&Outcome) -> Vec<Request>,
@@ -769,7 +733,13 @@ impl Cluster {
             ))
         });
         let span_ps = completions.iter().map(|c| c.done_ps).max().unwrap_or(0);
-        let tenants = self.tenant_summaries(&probes);
+        let tenants = tenant_summaries(
+            self.tenants
+                .iter()
+                .zip(&self.budget_sheds)
+                .map(|((name, weight), &sheds)| (name.as_str(), *weight, sheds)),
+            &probes,
+        );
         freac_probe::debug_check(&probes);
         // Shard reports already merged their own probes into the global
         // registry; only the cluster's own metrics are new here.
@@ -783,39 +753,6 @@ impl Cluster {
             probes,
             tenants,
         }
-    }
-
-    /// Cluster-wide per-tenant summaries from the merged registry, name
-    /// order.
-    fn tenant_summaries(&self, probes: &CounterRegistry) -> Vec<TenantSummary> {
-        let mut by_name: Vec<usize> = (0..self.tenants.len()).collect();
-        by_name.sort_by(|&a, &b| self.tenants[a].0.cmp(&self.tenants[b].0));
-        by_name
-            .into_iter()
-            .map(|t| {
-                let (name, weight) = &self.tenants[t];
-                let keys = TenantKeys::new(name);
-                let c = |key: &str| probes.counter(key);
-                let router_shed = self.budget_sheds[t];
-                let hist = probes.histogram(&keys.latency_ps);
-                let q = |p: f64| hist.and_then(|h| h.quantile(p)).unwrap_or(0.0);
-                TenantSummary {
-                    name: name.clone(),
-                    weight: *weight,
-                    // Shard `submitted` counts a migrated request twice (a
-                    // steal is a fresh submission on the thief); subtract
-                    // `stolen` to recover user submissions, then add the
-                    // budget sheds no shard ever saw.
-                    submitted: c(&keys.submitted) - c(&keys.stolen) + router_shed,
-                    completed: c(&keys.completed),
-                    shed: c(&keys.shed) + router_shed,
-                    p50_ps: q(0.5),
-                    p95_ps: q(0.95),
-                    p99_ps: q(0.99),
-                    mean_ps: hist.map_or(0.0, freac_probe::Histogram::mean),
-                }
-            })
-            .collect()
     }
 }
 
@@ -898,6 +835,7 @@ mod tests {
         assert_eq!(got.completions, want.completions);
         assert_eq!(got.sheds, want.sheds);
         assert_eq!(got.span_ps, want.span_ps);
+        assert_eq!(got.tenants, want.tenants);
         assert_eq!(got.shards[0].dispatches, want.dispatches);
         let shard_counters: Vec<(&str, u64)> = got.shards[0].probes.counters().collect();
         let plain_counters: Vec<(&str, u64)> = want.probes.counters().collect();

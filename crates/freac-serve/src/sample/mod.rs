@@ -7,12 +7,12 @@
 //! System"), this module:
 //!
 //! 1. splits the trace into fixed-size windows of `window` requests;
-//! 2. computes a cheap per-window behavior signature ([`sig`]) from the
+//! 2. computes a cheap per-window behavior signature (`sig`) from the
 //!    same signals the serving probes export — kernel mix, arrival
 //!    intensity, fluid queue depths, shed/steal pressure, reconfiguration
 //!    churn, way split;
 //! 3. clusters the signatures with deterministic seeded k-medoids
-//!    ([`kmedoids`], built on `freac-rand`);
+//!    (`kmedoids`, built on `freac-rand`);
 //! 4. simulates only each cluster's medoid window at full fidelity,
 //!    warmed by replaying the `warmup` requests preceding the window so
 //!    queues and residency don't start cold, plus the farthest member of
@@ -281,7 +281,7 @@ impl SampledServer {
         profile: RequestProfile,
     ) -> Result<(), ServeError> {
         let tile = AcceleratorTile::new(self.cluster.shard.tile_mccs)?;
-        let accel = Accelerator::map_shared(circuit, &tile)?;
+        let accel = Arc::new(Accelerator::map(circuit, &tile)?);
         self.register_accelerator(name, accel, profile)
     }
 

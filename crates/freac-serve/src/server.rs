@@ -45,7 +45,7 @@ use std::sync::Arc;
 
 use freac_core::scratchpad::ScratchpadModel;
 use freac_core::{
-    reconfig_cost_with, way_conversion_charge, Accelerator, AcceleratorTile, CoherenceStats,
+    reconfig_cost, way_conversion_charge, Accelerator, AcceleratorTile, CoherenceStats,
     HandoffMode, ReconfigCost, SlicePartition,
 };
 use freac_kernels::{kernel, Kernel, KernelId};
@@ -216,19 +216,19 @@ struct SliceState {
 
 /// A tenant's `serve.tenant.<name>.*` counter names, built once at
 /// registration so no event formats a key.
-pub(crate) struct TenantKeys {
-    pub(crate) submitted: String,
-    pub(crate) stolen: String,
-    pub(crate) stolen_in: String,
-    pub(crate) tlb_faults: String,
-    pub(crate) shed: String,
-    pub(crate) completed: String,
-    pub(crate) reconfig_ps: String,
-    pub(crate) latency_ps: String,
+struct TenantKeys {
+    submitted: String,
+    stolen: String,
+    stolen_in: String,
+    tlb_faults: String,
+    shed: String,
+    completed: String,
+    reconfig_ps: String,
+    latency_ps: String,
 }
 
 impl TenantKeys {
-    pub(crate) fn new(name: &str) -> Self {
+    fn new(name: &str) -> Self {
         let key = |metric: &str| format!("serve.tenant.{name}.{metric}");
         TenantKeys {
             submitted: key("submitted"),
@@ -270,7 +270,8 @@ pub struct TenantSummary {
     pub name: String,
     /// Fair-share weight.
     pub weight: u64,
-    /// Requests submitted (including retries).
+    /// Requests submitted (including retries). On a cluster shard a
+    /// stolen request counts on the shard that took it, not its victim.
     pub submitted: u64,
     /// Requests completed.
     pub completed: u64,
@@ -284,6 +285,43 @@ pub struct TenantSummary {
     pub p99_ps: f64,
     /// Mean latency, ps.
     pub mean_ps: f64,
+}
+
+/// Per-tenant summaries in name order, read from the
+/// `serve.tenant.<name>.*` entries of `probes`. Each tenant is given as
+/// `(name, weight, router_sheds)`, where `router_sheds` counts arrivals a
+/// cluster router shed against its budget before any shard saw them (0
+/// for a plain server).
+pub(crate) fn tenant_summaries<'a>(
+    tenants: impl IntoIterator<Item = (&'a str, u64, u64)>,
+    probes: &CounterRegistry,
+) -> Vec<TenantSummary> {
+    let mut out: Vec<TenantSummary> = tenants
+        .into_iter()
+        .map(|(name, weight, router_sheds)| {
+            let keys = TenantKeys::new(name);
+            let c = |key: &str| probes.counter(key);
+            let hist = probes.histogram(&keys.latency_ps);
+            let q = |p: f64| hist.and_then(|h| h.quantile(p)).unwrap_or(0.0);
+            TenantSummary {
+                name: name.to_owned(),
+                weight,
+                // A steal is a fresh submission on the thief, so
+                // `submitted` counts a migrated request on both shards;
+                // subtracting `stolen` counts it once, where it
+                // terminated. Router sheds never reached a shard.
+                submitted: c(&keys.submitted) - c(&keys.stolen) + router_sheds,
+                completed: c(&keys.completed),
+                shed: c(&keys.shed) + router_sheds,
+                p50_ps: q(0.5),
+                p95_ps: q(0.95),
+                p99_ps: q(0.99),
+                mean_ps: hist.map_or(0.0, freac_probe::Histogram::mean),
+            }
+        })
+        .collect();
+    out.sort_by(|a, b| a.name.cmp(&b.name));
+    out
 }
 
 /// The result of draining the server. The event logs cover everything
@@ -430,7 +468,7 @@ impl Server {
         profile: RequestProfile,
     ) -> Result<(), ServeError> {
         let tile = AcceleratorTile::new(self.cfg.tile_mccs)?;
-        let accel = Accelerator::map_shared(circuit, &tile)?;
+        let accel = Arc::new(Accelerator::map(circuit, &tile)?);
         self.register_accelerator(name, accel, profile)
     }
 
@@ -478,7 +516,7 @@ impl Server {
             )));
         }
         let steps = accel.fold_cycles() as u64;
-        let cost = reconfig_cost_with(
+        let cost = reconfig_cost(
             &accel,
             &self.cfg.partition,
             self.cfg.dirty_fraction,
@@ -607,16 +645,6 @@ impl Server {
     /// Functional hashing depth of a registered kernel.
     pub fn kernel_func_cycles(&self, name: &str) -> Option<u64> {
         self.kernel(name).map(|k| k.func_cycles)
-    }
-
-    /// A single-wave service-time estimate for one invocation of a
-    /// registered kernel (compute cycles through the slice clock, ignoring
-    /// batching and scratchpad pressure). The sampled-simulation signature
-    /// pass uses this as the drain rate of its fluid queue model — only
-    /// relative magnitudes across kernels matter there.
-    pub fn kernel_service_estimate_ps(&self, name: &str) -> Option<Time> {
-        self.kernel(name)
-            .map(|k| self.clock.cycles_to_time(k.compute_cycles.max(1)))
     }
 
     /// The cost model a fluid queue approximation needs for one kernel:
@@ -911,7 +939,7 @@ impl Server {
         }
         let tiles = (partition.mccs() / self.cfg.tile_mccs).max(1);
         for k in &mut self.kernels {
-            k.cost = reconfig_cost_with(
+            k.cost = reconfig_cost(
                 &k.accel,
                 &partition,
                 self.cfg.dirty_fraction,
@@ -1256,27 +1284,10 @@ impl Server {
         completions
             .sort_by(|a, b| (a.done_ps, &a.tenant, a.seq).cmp(&(b.done_ps, &b.tenant, b.seq)));
         let span_ps = completions.iter().map(|c| c.done_ps).max().unwrap_or(0);
-        let mut by_name: Vec<usize> = (0..self.tenants.len()).collect();
-        by_name.sort_by(|&a, &b| self.tenants[a].name.cmp(&self.tenants[b].name));
-        let tenants = by_name
-            .into_iter()
-            .map(|t| {
-                let (ts, keys) = (&self.tenants[t], &self.tenant_keys[t]);
-                let hist = self.probes.histogram(&keys.latency_ps);
-                let q = |p: f64| hist.and_then(|h| h.quantile(p)).unwrap_or(0.0);
-                TenantSummary {
-                    name: ts.name.clone(),
-                    weight: ts.weight,
-                    submitted: self.probes.counter(&keys.submitted),
-                    completed: self.probes.counter(&keys.completed),
-                    shed: self.probes.counter(&keys.shed),
-                    p50_ps: q(0.5),
-                    p95_ps: q(0.95),
-                    p99_ps: q(0.99),
-                    mean_ps: hist.map_or(0.0, freac_probe::Histogram::mean),
-                }
-            })
-            .collect();
+        let tenants = tenant_summaries(
+            self.tenants.iter().map(|t| (t.name.as_str(), t.weight, 0)),
+            &self.probes,
+        );
 
         freac_probe::debug_check(&self.probes);
         freac_probe::global::merge(&self.probes);

@@ -8,7 +8,7 @@
 //! Run with: `cargo run --release --example aes_offload`
 
 use freac::core::ccctrl::{encode_ways, regs, CcCtrl};
-use freac::core::{Accelerator, AcceleratorTile, SlicePartition};
+use freac::core::{Accelerator, AcceleratorTile, HandoffMode, SlicePartition};
 use freac::kernels::aes;
 use freac::netlist::Value;
 use freac::sim::DramModel;
@@ -26,7 +26,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // --- Drive the host-interface protocol (Fig. 5, steps 1-6). ---
     let dram = DramModel::ddr4_2400_x4();
-    let mut ctrl = CcCtrl::new(0.5); // assume half the flushed lines dirty
+    // Assume half the flushed lines are dirty; flush them as the paper does.
+    let mut ctrl = CcCtrl::new(0.5, HandoffMode::ConservativeFlush);
     let partition = SlicePartition::end_to_end();
     ctrl.store(regs::SELECT, encode_ways(&partition), &dram)?; // 1 select
     ctrl.store(regs::FLUSH, 1, &dram)?; //                        2 flush

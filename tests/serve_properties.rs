@@ -3,6 +3,8 @@
 //! the load generator is worker-count independent, and merged counters are
 //! identical across parallelism.
 
+use std::sync::Arc;
+
 use freac::core::{Accelerator, AcceleratorTile};
 use freac::kernels::KernelId;
 use freac::netlist::OptLevel;
@@ -228,7 +230,7 @@ fn serve_mixed_at_level(level: OptLevel) -> ServeReport {
         let k = freac::kernels::kernel(id);
         let w = k.workload(1);
         let accel =
-            Accelerator::map_shared_with_level(&k.circuit(), &tile, level).expect("kernel maps");
+            Arc::new(Accelerator::map_with_level(&k.circuit(), &tile, level).expect("kernel maps"));
         server
             .register_accelerator(
                 &id.name().to_lowercase(),
