@@ -41,13 +41,6 @@
 //!   counter — a batch never carries more lanes than the dispatch
 //!   offered (both sides are sums over dispatches, so merges preserve
 //!   the law);
-//! * `Σ <p>.cluster.<c>.requests == <p>.trace.requests` and
-//!   `<p>.est.completed + <p>.est.shed == <p>.trace.requests` for every
-//!   prefix with a `.trace.requests` counter — sampled extrapolation
-//!   accounts for every trace request exactly once: each request belongs
-//!   to exactly one signature cluster, and every extrapolated request
-//!   either completes or sheds (both sides are sums, so merges preserve
-//!   the law);
 //! * per-run only: `core.kernel_cycles == core.items_per_tile *
 //!   core.round_cycles`.
 
@@ -257,40 +250,6 @@ pub fn check(reg: &CounterRegistry) -> Vec<Violation> {
         }
     }
 
-    // Sampled-extrapolation conservation: every trace request belongs to
-    // exactly one signature cluster, and the extrapolated terminal counts
-    // cover the whole trace.
-    for p in prefixes_with(reg, ".trace.requests") {
-        let total = reg.counter(&format!("{p}.trace.requests"));
-        let cluster_prefix = format!("{p}.cluster");
-        let mut cluster_sum = 0u64;
-        let mut have_clusters = false;
-        for (k, v) in reg.counters_under(&cluster_prefix) {
-            if k.ends_with(".requests") {
-                cluster_sum = cluster_sum.saturating_add(v);
-                have_clusters = true;
-            }
-        }
-        if have_clusters && cluster_sum != total {
-            violate(
-                &mut out,
-                format!("{p}: Σ cluster.<c>.requests == trace.requests"),
-                format!("{cluster_sum} != {total}"),
-            );
-        }
-        if reg.has_counter(&format!("{p}.est.completed")) {
-            let completed = reg.counter(&format!("{p}.est.completed"));
-            let shed = reg.counter(&format!("{p}.est.shed"));
-            if completed.saturating_add(shed) != total {
-                violate(
-                    &mut out,
-                    format!("{p}: est.completed + est.shed == trace.requests"),
-                    format!("{completed} + {shed} != {total}"),
-                );
-            }
-        }
-    }
-
     // Per-run products (meaningless once registries merge: sums of
     // products are not products of sums).
     if reg.counter("core.runs") == 1 {
@@ -372,12 +331,6 @@ mod tests {
         r.add("serve.requests.shed", 2);
         r.add("serve.lanes.occupied", 48);
         r.add("serve.lanes.capacity", 128);
-        r.add("serve.sample.trace.requests", 20);
-        r.add("serve.sample.cluster.0.requests", 12);
-        r.add("serve.sample.cluster.1.requests", 8);
-        r.add("serve.sample.cluster.0.medoid", 3);
-        r.add("serve.sample.est.completed", 18);
-        r.add("serve.sample.est.shed", 2);
         r
     }
 
@@ -448,14 +401,6 @@ mod tests {
             (
                 "occupied <= capacity",
                 Box::new(|r| r.add("serve.lanes.occupied", 1_000)),
-            ),
-            (
-                "cluster.<c>.requests == trace.requests",
-                Box::new(|r| r.add("serve.sample.cluster.1.requests", 1)),
-            ),
-            (
-                "est.completed + est.shed == trace.requests",
-                Box::new(|r| r.add("serve.sample.est.shed", 1)),
             ),
         ];
         for (law_fragment, corrupt) in cases {

@@ -360,13 +360,6 @@ impl CounterRegistry {
     pub(crate) fn insert_histogram(&mut self, name: &str, h: Histogram) {
         self.histograms.insert(name.to_owned(), h);
     }
-
-    /// Merges a standalone histogram into the named histogram, creating it
-    /// if absent — for exporting distributions assembled outside any
-    /// registry (e.g. the sampled-serving latency mixture).
-    pub fn merge_histogram(&mut self, name: &str, h: &Histogram) {
-        self.histograms.entry(name.to_owned()).or_default().merge(h);
-    }
 }
 
 /// Applies `update` to `map[name]`, first inserting `init()` when the key

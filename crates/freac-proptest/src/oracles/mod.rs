@@ -16,5 +16,4 @@ pub mod compiled;
 pub mod fold;
 pub mod metrics;
 pub mod optimize;
-pub mod sample;
 pub mod serve;

@@ -6,7 +6,7 @@
 //! and the one-line corpus entry that replays it.
 
 use freac_proptest::oracles::{
-    bitstream, cache, cluster, coherence, compiled, fold, metrics, optimize, sample, serve,
+    bitstream, cache, cluster, coherence, compiled, fold, metrics, optimize, serve,
 };
 use freac_proptest::{check, Runner};
 
@@ -186,36 +186,6 @@ fn parallel_shard_stepping_is_byte_identical() {
         cluster::generate,
         cluster::shrink,
         cluster::check_parallel_equivalence,
-    );
-}
-
-#[test]
-fn sampled_simulation_stays_within_its_bounds() {
-    // Each sampled case replays the whole trace at full fidelity as the
-    // oracle, so this property runs an eighth of the configured case count.
-    let mut runner = Runner::from_env();
-    let mut config = runner.config().clone();
-    config.cases = (config.cases / 8).max(1);
-    runner = Runner::new(config);
-    runner.check(
-        "sample/within-bounds",
-        sample::generate,
-        sample::shrink,
-        sample::check_within_bounds,
-    );
-}
-
-#[test]
-fn sampled_simulation_is_deterministic() {
-    let mut runner = Runner::from_env();
-    let mut config = runner.config().clone();
-    config.cases = (config.cases / 8).max(1);
-    runner = Runner::new(config);
-    runner.check(
-        "sample/determinism",
-        sample::generate,
-        sample::shrink,
-        sample::check_determinism,
     );
 }
 

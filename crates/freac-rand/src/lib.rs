@@ -174,11 +174,10 @@ impl Rng64 {
     }
 
     /// An index into `weights` with probability proportional to its
-    /// (non-negative, finite) float weight — the seeding step of k-medoids++
-    /// draws by squared distance, which is naturally a float. Zero-weight
-    /// entries are never picked; when every weight is zero the pick falls
-    /// back to uniform so callers need no special case for degenerate
-    /// inputs (e.g. all-identical signature windows).
+    /// (non-negative, finite) float weight, for weights that are naturally
+    /// floats (e.g. squared distances). Zero-weight entries are never
+    /// picked; when every weight is zero the pick falls back to uniform so
+    /// callers need no special case for degenerate inputs.
     ///
     /// Deterministic: the draw uses 53 uniform bits scaled into `[0, total)`
     /// and a left-to-right prefix walk, all in plain IEEE arithmetic.

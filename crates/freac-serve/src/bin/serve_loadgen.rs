@@ -13,14 +13,9 @@
 //!   stealing.
 //! * `--spike` — compress arrival gaps into a burst and enable elastic way
 //!   autoscaling, the load shape the autoscaler exists for.
-//! * `--sample` — representative-interval sampling: cluster the trace's
-//!   windows by behavior signature and simulate only medoid windows,
-//!   printing extrapolated metrics with error bounds instead of the full
-//!   replay.
-//! * `--sample-window N` — requests per sampling window (default 1024).
 //! * `--workers N` — worker threads (overrides `FREAC_WORKERS`): trace
-//!   generation, verification, parallel shard stepping, and medoid
-//!   simulation fan-out. Never affects output.
+//!   generation, verification, and parallel shard stepping. Never affects
+//!   output.
 //!
 //! Environment:
 //! * `FREAC_SERVE_REQUESTS` — per-tenant request count (default 64).
@@ -32,7 +27,7 @@ use freac_kernels::KernelId;
 use freac_serve::inputs::reference_hash;
 use freac_serve::{
     cluster_tenant_table, open_loop_trace, AutoscaleConfig, Cluster, ClusterConfig, RoutePolicy,
-    SampleConfig, SampledServer, ServeConfig, StealConfig, TenantSpec,
+    ServeConfig, StealConfig, TenantSpec,
 };
 
 /// Every Nth completion gets re-executed on the reference evaluator.
@@ -80,8 +75,6 @@ fn main() {
         .and_then(|v| v.parse().ok())
         .unwrap_or(1);
     let mut spike = false;
-    let mut sample = false;
-    let mut sample_window: usize = 1024;
     let mut workers_flag: Option<usize> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -93,13 +86,6 @@ fn main() {
                     .expect("--shards takes a count");
             }
             "--spike" => spike = true,
-            "--sample" => sample = true,
-            "--sample-window" => {
-                sample_window = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--sample-window takes a request count");
-            }
             "--workers" => {
                 workers_flag = Some(
                     args.next()
@@ -107,9 +93,9 @@ fn main() {
                         .expect("--workers takes a count"),
                 );
             }
-            other => panic!(
-                "unknown argument '{other}' (expected --shards N, --spike, --sample, --sample-window N, or --workers N)"
-            ),
+            other => {
+                panic!("unknown argument '{other}' (expected --shards N, --spike, or --workers N)")
+            }
         }
     }
     let requests: u64 = std::env::var("FREAC_SERVE_REQUESTS")
@@ -118,11 +104,6 @@ fn main() {
         .unwrap_or(64);
     let workers = workers_flag.unwrap_or_else(worker_count);
     let specs = specs(requests, spike);
-
-    if sample {
-        run_sampled(shards, spike, workers, sample_window, &specs);
-        return;
-    }
 
     let mut cluster =
         Cluster::new(cluster_config(shards, spike, workers)).expect("config is valid");
@@ -190,37 +171,5 @@ fn main() {
         report.completions.len()
     );
     assert_eq!(mismatches, 0, "served outputs diverged from the reference");
-    println!("{}", freac_probe::to_counters_json(&report.probes));
-}
-
-/// The `--sample` path: same scenario, but only medoid windows are
-/// simulated and the printed metrics are extrapolations with bounds.
-fn run_sampled(shards: usize, spike: bool, workers: usize, window: usize, specs: &[TenantSpec]) {
-    let mut server = SampledServer::new(
-        cluster_config(shards, spike, 1),
-        SampleConfig {
-            window,
-            workers,
-            ..SampleConfig::default()
-        },
-    )
-    .expect("config is valid");
-    server
-        .register_paper_kernel(KernelId::Aes)
-        .expect("map aes");
-    server
-        .register_paper_kernel(KernelId::Gemm)
-        .expect("map gemm");
-    for s in specs {
-        server.add_tenant(&s.name, s.weight).expect("unique tenant");
-    }
-    let trace = open_loop_trace(specs, TRACE_SEED, workers);
-    let submitted = trace.len();
-    let report = server.run(&trace).expect("sampling succeeds");
-    println!(
-        "serve_loadgen: {submitted} requests, 4 tenants, aes+gemm, {shards} shard(s){}, sampled",
-        if spike { ", spike" } else { "" }
-    );
-    print!("{}", report.render());
     println!("{}", freac_probe::to_counters_json(&report.probes));
 }

@@ -39,7 +39,7 @@ use std::sync::{mpsc, Arc};
 
 use freac_core::{Accelerator, AcceleratorTile};
 use freac_kernels::{kernel, Kernel, KernelId};
-use freac_netlist::{compile, ExecPlan, Netlist};
+use freac_netlist::{compile, Netlist};
 use freac_probe::CounterRegistry;
 use freac_sim::Time;
 
@@ -57,9 +57,7 @@ pub use autoscale::AutoscaleConfig;
 pub use router::RoutePolicy;
 
 use autoscale::{step_partition, AutoscaleState, ScaleDecision};
-// Re-exported crate-internally: the sampling signature pass drives the
-// real router over its fluid queue model.
-pub(crate) use router::Router;
+use router::Router;
 
 /// When and how aggressively shards steal queued work from each other.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -126,7 +124,7 @@ impl Default for ClusterConfig {
 }
 
 impl ClusterConfig {
-    pub(crate) fn validate(&self) -> Result<(), ServeError> {
+    fn validate(&self) -> Result<(), ServeError> {
         if !(1..=16).contains(&self.shards) {
             return Err(ServeError::BadConfig(format!(
                 "cluster shards must be 1..=16, got {}",
@@ -297,23 +295,6 @@ impl Cluster {
         profile: RequestProfile,
     ) -> Result<(), ServeError> {
         let plan = Arc::new(compile(accel.netlist())?);
-        self.register_prepared(name, accel, plan, profile)
-    }
-
-    /// Registers an accelerator whose batch plan is already compiled —
-    /// the sampled runner builds many short-lived replica clusters over
-    /// the same kernel set and pays the compile exactly once.
-    ///
-    /// # Errors
-    ///
-    /// See [`Server::register_accelerator`].
-    pub(crate) fn register_prepared(
-        &mut self,
-        name: &str,
-        accel: Arc<Accelerator>,
-        plan: Arc<ExecPlan>,
-        profile: RequestProfile,
-    ) -> Result<(), ServeError> {
         for sh in &mut self.shards {
             sh.server
                 .register_prepared(name, Arc::clone(&accel), Arc::clone(&plan), profile)?;

@@ -17,7 +17,6 @@
 //! | [`loadgen`] | synthetic tenants: open-loop traces, closed-loop driver |
 //! | [`report`]  | fixed-width per-tenant latency tables |
 //! | [`cluster`] | N shards under one clock: affinity routing, stealing, autoscaling |
-//! | [`sample`]  | representative-interval sampling: medoid windows stand in for the trace |
 //!
 //! Batched dispatches ride the 64-lane bit-sliced plan from
 //! `freac_netlist::plan`; `exclusive` requests fall back to the
@@ -46,7 +45,6 @@ pub mod loadgen;
 pub mod queue;
 pub mod report;
 pub mod request;
-pub mod sample;
 pub mod sched;
 pub mod server;
 pub mod tlb;
@@ -63,10 +61,9 @@ pub use loadgen::{open_loop_trace, ClosedLoop, TenantSpec};
 pub use queue::{AdmissionQueue, ShedPolicy};
 pub use report::{cluster_tenant_table, tenant_table};
 pub use request::{Completion, Outcome, Request, Shed, ShedReason};
-pub use sample::{MetricEstimate, SampleConfig, SampleReport, SampledServer};
 pub use sched::SchedPolicy;
 pub use server::{
-    DispatchRecord, FluidEstimate, RequestProfile, ServeConfig, ServeReport, Server, TenantSummary,
+    DispatchRecord, RequestProfile, ServeConfig, ServeReport, Server, TenantSummary,
     FUNC_CYCLES_CAP,
 };
 pub use tlb::{TenantTlb, TlbSegment};

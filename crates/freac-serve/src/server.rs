@@ -80,21 +80,6 @@ pub struct RequestProfile {
     pub write_words: u64,
 }
 
-/// What a fluid queue approximation of the serving loop needs to know
-/// about one registered kernel (see [`Server::kernel_fluid_estimate`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FluidEstimate {
-    /// One compute wave through the slice clock, ps (>= 1).
-    pub service_ps: Time,
-    /// Reconfiguration quote when another kernel is resident, ps.
-    pub swap_ps: Time,
-    /// Reconfiguration quote onto a cold slice, ps.
-    pub setup_ps: Time,
-    /// Lanes one wave carries (>= 1): consecutive same-kernel requests
-    /// amortize `service_ps` across this many of them.
-    pub tiles: usize,
-}
-
 /// Server configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServeConfig {
@@ -184,8 +169,8 @@ struct ServedKernel {
     /// Compiled batch plan over the mapped netlist (bit-sliced, executed
     /// at whatever width the dispatch needs via
     /// [`ExecPlan::run_batch_cycle_any`]). Shared: plan execution is
-    /// `&self`, so a cluster compiles each kernel once and every shard —
-    /// and every sampled-window replica — runs the same `Arc`.
+    /// `&self`, so a cluster compiles each kernel once and every shard
+    /// runs the same `Arc`.
     plan: Arc<ExecPlan>,
     profile: RequestProfile,
     /// Functional depth actually executed for hashing.
@@ -490,10 +475,9 @@ impl Server {
     }
 
     /// Registers an accelerator with an already-compiled batch plan. The
-    /// cluster and the sampled runner compile each kernel's plan exactly
-    /// once and share it across every shard (plan execution is `&self`),
-    /// so building a shard — or a per-window replica cluster in sampled
-    /// mode — costs no recompilation.
+    /// cluster compiles each kernel's plan exactly once and shares it
+    /// across every shard (plan execution is `&self`), so building a shard
+    /// costs no recompilation.
     ///
     /// # Errors
     ///
@@ -645,23 +629,6 @@ impl Server {
     /// Functional hashing depth of a registered kernel.
     pub fn kernel_func_cycles(&self, name: &str) -> Option<u64> {
         self.kernel(name).map(|k| k.func_cycles)
-    }
-
-    /// The cost model a fluid queue approximation needs for one kernel:
-    /// per-wave service time, the reconfiguration quotes a batch amortizes,
-    /// and how many lanes one wave carries (1 when batching is off — every
-    /// request then pays a full wave).
-    pub fn kernel_fluid_estimate(&self, name: &str) -> Option<FluidEstimate> {
-        self.kernel(name).map(|k| FluidEstimate {
-            service_ps: self.clock.cycles_to_time(k.compute_cycles.max(1)).max(1),
-            swap_ps: k.cost.swap_ps(),
-            setup_ps: k.cost.setup_ps(),
-            tiles: if self.cfg.batching {
-                k.tiles.min(k.lanes_cap).max(1)
-            } else {
-                1
-            },
-        })
     }
 
     /// Submits a request for the next [`Server::run`].

@@ -2,15 +2,16 @@
 //! kernel-affinity routing strictly reduces reconfigurations vs.
 //! round-robin placement, work stealing strictly reduces tail latency on a
 //! skewed trace, elastic way autoscaling beats a static allocation on a
-//! load spike with every conversion charged, and a ~million-request smoke
-//! drains with conservation intact and ordered quantiles.
+//! load spike with every conversion charged, and a million-request
+//! full-fidelity smoke (50,000 requests in debug builds) drains with
+//! conservation intact and ordered quantiles.
 
 use freac::kernels::KernelId;
 use freac::netlist::builder::CircuitBuilder;
 use freac::netlist::Netlist;
 use freac::serve::{
     AutoscaleConfig, Cluster, ClusterConfig, ClusterReport, Request, RequestProfile, RoutePolicy,
-    SampleConfig, SampledServer, ServeConfig, StealConfig,
+    ServeConfig, StealConfig,
 };
 
 fn tiny_kernel(name: &str) -> Netlist {
@@ -220,8 +221,7 @@ fn autoscaling_beats_static_allocation_on_a_load_spike() {
 }
 
 /// The smoke scenario's cluster shape: 4 shards, affinity routing with
-/// stealing, shared by the full-fidelity and sampled million-request
-/// smokes so their metrics are comparable.
+/// stealing.
 fn smoke_config() -> ClusterConfig {
     ClusterConfig {
         shards: 4,
@@ -253,42 +253,13 @@ fn mask_profile() -> RequestProfile {
 }
 
 /// Four tenants alternating between two kernels, unique `(tenant, seq)`
-/// identities — the big-trace scenario both smokes replay.
+/// identities — the big-trace scenario the smoke replays.
 fn smoke_trace(n: u64) -> Vec<Request> {
     (0..n)
         .map(|i| {
             let tenant = format!("t{}", i % 4);
             let kernel = if i % 3 == 0 { "mask" } else { "add" };
             Request::new(&tenant, i / 4, kernel, i * 200, i)
-        })
-        .collect()
-}
-
-/// Phase-structured variant of the smoke trace for the sampled-mode gate.
-/// The first window arrives at gentle 25 ns gaps so the cold-boot slice
-/// configurations (~7.7 us each) are paid before pressure starts; after
-/// that, phases of 16384 requests cycle through arrival gaps and kernel
-/// mixes. Post-ramp behavior is a sequence of per-phase equilibria — the
-/// regime representative-interval sampling is built to compress. The
-/// cold-start shape stays in `smoke_trace` for the full-fidelity smoke,
-/// which is exactly about that congestion transient.
-fn smoke_ramp_trace(n: u64) -> Vec<Request> {
-    const RAMP: u64 = 1024;
-    const PHASE: u64 = 16_384;
-    const GAPS: [u64; 3] = [400, 1_000, 200];
-    let mut arrival = 0u64;
-    (0..n)
-        .map(|i| {
-            let (gap, mask_mod) = if i < RAMP {
-                (25_000, 3)
-            } else {
-                let phase = (i - RAMP) / PHASE;
-                (GAPS[(phase % 3) as usize], 2 + phase % 2)
-            };
-            arrival += gap;
-            let tenant = format!("t{}", i % 4);
-            let kernel = if i % mask_mod == 0 { "mask" } else { "add" };
-            Request::new(&tenant, i / 4, kernel, arrival, i)
         })
         .collect()
 }
@@ -311,20 +282,14 @@ fn full_smoke_cluster() -> Cluster {
 
 #[test]
 fn million_request_full_fidelity_smoke_conserves_and_orders_quantiles() {
-    // The full-fidelity replay of the whole trace. The sampled smoke below
-    // is the default million-request gate; this one runs a reduced trace
-    // unless FREAC_CLUSTER_SMOKE_FULL=1 (the nightly/slow job) unlocks the
-    // million-request default. FREAC_CLUSTER_SMOKE_REQUESTS overrides
-    // either way.
-    let full = std::env::var("FREAC_CLUSTER_SMOKE_FULL").is_ok_and(|v| v == "1");
-    let n: u64 = std::env::var("FREAC_CLUSTER_SMOKE_REQUESTS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(match (full, cfg!(debug_assertions)) {
-            (true, _) => 1_000_000,
-            (false, true) => 50_000,
-            (false, false) => 100_000,
-        });
+    // The exact replay of the whole trace is the release gate; debug
+    // builds run an unoptimized engine, so they replay a 50,000-request
+    // prefix of the same trace.
+    let n: u64 = if cfg!(debug_assertions) {
+        50_000
+    } else {
+        1_000_000
+    };
     let mut cluster = full_smoke_cluster();
     for req in smoke_trace(n) {
         cluster.submit(req).expect("trace request is valid");
@@ -360,93 +325,4 @@ fn million_request_full_fidelity_smoke_conserves_and_orders_quantiles() {
         p50 <= p95 && p95 <= p99,
         "quantiles out of order: p50 {p50} p95 {p95} p99 {p99}"
     );
-}
-
-#[test]
-fn sampled_million_request_smoke_extrapolates_within_bounds() {
-    // The default million-request gate: the sampled runner covers the full
-    // trace length in seconds by simulating only medoid windows. A full
-    // run at a tenth of the length anchors the accuracy check — the
-    // sampled estimate on that same prefix must land inside its own
-    // declared bound.
-    let n: u64 = std::env::var("FREAC_CLUSTER_SMOKE_REQUESTS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(if cfg!(debug_assertions) {
-            200_000
-        } else {
-            1_000_000
-        });
-    let sample_cfg = SampleConfig {
-        window: 1024,
-        max_clusters: 12,
-        warmup: 512,
-        workers: 4,
-        ..SampleConfig::default()
-    };
-    let sampler = || {
-        let mut s = SampledServer::new(smoke_config(), sample_cfg).expect("config is valid");
-        s.register_kernel("add", &tiny_kernel("add"), tiny_profile())
-            .expect("adder maps");
-        s.register_kernel("mask", &mask_kernel(), mask_profile())
-            .expect("masker maps");
-        for t in 0..4 {
-            s.add_tenant(&format!("t{t}"), 1 + t % 2)
-                .expect("unique tenant");
-        }
-        s
-    };
-
-    // Full-length sampled run: conservation, probe laws, ordered quantiles.
-    let report = sampler()
-        .run(&smoke_ramp_trace(n))
-        .expect("sampling drains");
-    assert_eq!(report.trace_requests, n);
-    assert_eq!(
-        report.est_completed + report.est_shed,
-        n,
-        "extrapolated terminals must cover the whole trace"
-    );
-    assert!(
-        (report.simulated_requests as f64) < n as f64 / 4.0,
-        "sampling must simulate a small fraction of the trace: {} of {n}",
-        report.simulated_requests
-    );
-    let violations = freac::probe::check(&report.probes);
-    assert!(violations.is_empty(), "probe laws violated: {violations:?}");
-    assert!(
-        report.p50_ps.value <= report.p95_ps.value && report.p95_ps.value <= report.p99_ps.value,
-        "extrapolated quantiles out of order"
-    );
-
-    // Accuracy anchor: full fidelity vs sampled on the n/10 prefix.
-    let anchor_n = (n / 10).max(20_000);
-    let anchor_trace = smoke_ramp_trace(anchor_n);
-    let mut full = full_smoke_cluster();
-    for req in anchor_trace.clone() {
-        full.submit(req).expect("trace request is valid");
-    }
-    let full_report = full.run_to_completion().expect("serving drains");
-    let h = full_report
-        .probes
-        .histogram("serve.latency_ps")
-        .expect("latencies recorded");
-    let sampled = sampler().run(&anchor_trace).expect("sampling drains");
-    for (name, est, actual) in [
-        ("p50", sampled.p50_ps, h.quantile(0.5).expect("non-empty")),
-        ("p95", sampled.p95_ps, h.quantile(0.95).expect("non-empty")),
-        ("p99", sampled.p99_ps, h.quantile(0.99).expect("non-empty")),
-    ] {
-        assert!(
-            est.covers(actual),
-            "{name}: full-fidelity {actual} outside sampled bound {} +- {}",
-            est.value,
-            est.bound
-        );
-        assert!(
-            (actual - est.value).abs() <= 0.05 * actual,
-            "{name}: sampled {} deviates more than 5% from full {actual}",
-            est.value
-        );
-    }
 }
