@@ -10,17 +10,23 @@
 //!   at a time vs the bit-sliced `run_batch_cycle` at every sweep width
 //!   (64, 256, and 512 lanes — the `w4`/`w8` multi-word arms).
 //!
+//! A narrow arm times what a serving dispatch pays for AES mapped on the
+//! serving tile: 1, 2 and 4 lanes per pass, each from a fresh
+//! `new_batch_state_for`, the batch sizes cluster traffic mostly sees.
+//!
 //! Each arm is checked for output equality before any timing, so a
 //! divergence fails the bench instead of producing a fast wrong number.
 //! Results land as `BENCH_*.json` (see the `bench` crate docs); a final
 //! `BENCH_exec_speedups.json` records the derived ratios.
 
 use bench::BenchResult;
+use freac_core::{Accelerator, AcceleratorTile};
 use freac_fold::{compile_fold, schedule_fold, FoldConstraints, FoldedExecutor, LutMode};
 use freac_kernels::KernelId;
 use freac_netlist::eval::Evaluator;
 use freac_netlist::techmap::{tech_map, TechMapOptions};
 use freac_netlist::{compile, Netlist, NodeKind, Value, BATCH_LANES, MAX_BATCH_LANES};
+use freac_serve::ServeConfig;
 
 /// One deterministic input vector per primary input, respecting kinds.
 fn inputs_for(netlist: &Netlist, seed: u32) -> Vec<Value> {
@@ -222,7 +228,51 @@ fn report(
     );
 }
 
+/// Lane counts per dispatch the narrow arm times.
+const NARROW_LANES: [usize; 3] = [1, 2, 4];
+
+/// The narrow-batch arm: AES mapped by `Accelerator::map` on the serving
+/// tile, one dispatch at each of [`NARROW_LANES`] per iteration, every
+/// dispatch building a fresh batch state as `Server::dispatch` does.
+fn bench_narrow_aes() {
+    let tile = AcceleratorTile::new(ServeConfig::default().tile_mccs).expect("serving tile");
+    let circuit = freac_kernels::kernel(KernelId::Aes).circuit();
+    let accel = Accelerator::map(&circuit, &tile).expect("AES maps on the serving tile");
+    let mapped = accel.netlist();
+    let plan = compile(mapped).expect("served AES plan compiles");
+    let widest = NARROW_LANES[NARROW_LANES.len() - 1];
+    let lanes: Vec<Vec<Value>> = (0..widest as u32)
+        .map(|l| inputs_for(mapped, 0xc0ff_ee01 ^ l.wrapping_mul(0x0101_0101)))
+        .collect();
+    let mut out = Vec::new();
+    for k in NARROW_LANES {
+        let mut state = plan.new_batch_state_for(k);
+        plan.run_batch_cycle_any(&mut state, &lanes[..k], &mut out)
+            .expect("narrow batch cycle");
+        for (l, lane) in lanes[..k].iter().enumerate() {
+            let expect = Evaluator::new(mapped)
+                .run_cycle(lane)
+                .expect("reference cycle");
+            assert_eq!(out[l], expect, "aes: {k}-lane dispatch lane {l} diverged");
+        }
+    }
+    let narrow = bench::bench_function("netlist/aes/batch narrow", 200, || {
+        for k in NARROW_LANES {
+            let mut state = plan.new_batch_state_for(k);
+            plan.run_batch_cycle_any(&mut state, &lanes[..k], &mut out)
+                .expect("narrow batch cycle");
+        }
+        out.len()
+    });
+    println!(
+        "aes: served plan, {:.1} us per narrow dispatch ({:?} lanes)",
+        narrow.mean_ns / NARROW_LANES.len() as f64 / 1e3,
+        NARROW_LANES
+    );
+}
+
 fn main() {
+    bench_narrow_aes();
     let results = [
         bench_kernel(KernelId::Aes, "aes"),
         bench_kernel(KernelId::Gemm, "gemm"),

@@ -44,6 +44,14 @@ pub enum NetlistError {
         /// Number of values supplied.
         found: usize,
     },
+    /// A batch pass was handed no lanes, or more lanes than its state's
+    /// bit-slice width holds.
+    LaneCountOutOfRange {
+        /// Lanes one pass over the batch state evaluates.
+        capacity: usize,
+        /// Number of lanes supplied.
+        found: usize,
+    },
     /// A primary input value had the wrong signal type.
     InputTypeMismatch {
         /// Index of the primary input.
@@ -82,6 +90,10 @@ impl fmt::Display for NetlistError {
                 f,
                 "primary input count mismatch: netlist has {expected}, got {found} values"
             ),
+            NetlistError::LaneCountOutOfRange { capacity, found } => write!(
+                f,
+                "batch of {found} lanes does not fit a state of 1..={capacity} lanes"
+            ),
             NetlistError::InputTypeMismatch { index } => {
                 write!(f, "primary input {index} has the wrong signal type")
             }
@@ -119,6 +131,10 @@ mod tests {
             NetlistError::InputCountMismatch {
                 expected: 2,
                 found: 1,
+            },
+            NetlistError::LaneCountOutOfRange {
+                capacity: 64,
+                found: 100,
             },
             NetlistError::InputTypeMismatch { index: 0 },
             NetlistError::BadLutSize(9),

@@ -19,14 +19,14 @@
 //!
 //! On top of the packed bit plane the plan also evaluates batches of
 //! independent input vectors per pass: bit-typed logic runs *bit-sliced* —
-//! lane `l` of every bit slot belongs to input vector `l`, so one AND/OR
-//! pass over a LUT's minterms evaluates a whole chunk of lanes at once —
-//! while word-typed ops iterate the lanes of a widened word plane. The
-//! chunk is a `[u64; N]` array ([`BatchState`] is generic over `N`), so
-//! the same plan sweeps 64 lanes per word (`N = 1`,
-//! [`ExecPlan::run_batch_cycle`]), or 256/512 lanes (`N = 4` / `N = 8`,
-//! [`ExecPlan::run_wide_batch_cycle`]) with straight-line inner loops the
-//! autovectorizer turns into SIMD. Callers that only learn the batch size
+//! lane `l` of every bit slot belongs to input vector `l`, so one pass of
+//! a LUT's Shannon mux tree (or, for XOR/XNOR tables, its XOR chain)
+//! evaluates a whole chunk of lanes at once — while word-typed ops
+//! iterate the lanes of a widened word plane. The chunk is a `[u64; N]`
+//! array ([`BatchState`] is generic over `N`), so the same plan sweeps 64
+//! lanes per word (`N = 1`, [`ExecPlan::run_batch_cycle`]), or 256/512
+//! lanes (`N = 4` / `N = 8`, [`ExecPlan::run_wide_batch_cycle`]) with
+//! straight-line inner loops. Callers that only learn the batch size
 //! at runtime dispatch through [`AnyBatchState`].
 //!
 //! Plan compilation is shared with `freac-fold`: [`PlanBuilder`] exposes
@@ -285,6 +285,18 @@ impl AnyBatchState {
 /// `64 · bits`, so the crossover sits near 6–8 bits.
 const TRANSPOSE_MIN_BITS: usize = 8;
 
+/// The 6-input parity truth table: bit `row` is `popcount(row) & 1`. Its
+/// low `2^n` bits are the `n`-input parity table.
+const PARITY: u64 = {
+    let mut t = 0u64;
+    let mut row = 0;
+    while row < 64 {
+        t |= ((row as u64).count_ones() as u64 & 1) << row;
+        row += 1;
+    }
+    t
+};
+
 /// In-place 64×64 bit-matrix transpose over the packed lane convention
 /// (bit `j` of `m[i]` is element `(i, j)`): afterwards bit `j` of `m[i]`
 /// holds what bit `i` of `m[j]` held. Recursive block swap (the
@@ -479,8 +491,8 @@ impl ExecPlan {
     /// # Errors
     ///
     /// Returns input-shape errors for the first offending lane, plus
-    /// [`NetlistError::InputCountMismatch`] if more than [`BATCH_LANES`]
-    /// lanes are supplied.
+    /// [`NetlistError::LaneCountOutOfRange`] if no lanes or more than
+    /// [`BATCH_LANES`] lanes are supplied.
     pub fn run_batch_cycle(
         &self,
         state: &mut BatchState,
@@ -514,18 +526,18 @@ impl ExecPlan {
     /// in `out[l]` (declaration order); `out` is resized and its inner
     /// vectors reused, so steady-state batch evaluation allocates nothing.
     ///
-    /// Bit-typed logic evaluates bit-sliced (one minterm sweep over
-    /// `[u64; N]` chunks serves all lanes); word-typed ops iterate the
-    /// lanes. Every lane carries its own sequential state inside `state`.
-    /// Tail lanes (indices at or past `lanes.len()`) keep sweeping
+    /// Bit-typed logic evaluates bit-sliced (one mux tree or XOR chain
+    /// over `[u64; N]` chunks serves all lanes); word-typed ops iterate
+    /// the lanes. Every lane carries its own sequential state inside
+    /// `state`. Tail lanes (indices at or past `lanes.len()`) keep sweeping
     /// power-on state but are never read back out: outputs, like inputs,
     /// cover exactly the supplied lanes.
     ///
     /// # Errors
     ///
     /// Returns input-shape errors for the first offending lane, plus
-    /// [`NetlistError::InputCountMismatch`] if more than `N * 64` lanes
-    /// are supplied.
+    /// [`NetlistError::LaneCountOutOfRange`] if no lanes or more than
+    /// `N * 64` lanes are supplied.
     pub fn run_wide_batch_cycle<const N: usize>(
         &self,
         state: &mut BatchState<N>,
@@ -534,8 +546,8 @@ impl ExecPlan {
     ) -> Result<(), NetlistError> {
         let width = N * BATCH_LANES;
         if lanes.is_empty() || lanes.len() > width {
-            return Err(NetlistError::InputCountMismatch {
-                expected: width,
+            return Err(NetlistError::LaneCountOutOfRange {
+                capacity: width,
                 found: lanes.len(),
             });
         }
@@ -655,13 +667,14 @@ impl ExecPlan {
     /// Consecutive `Lut` ops sharing one truth table (common after
     /// tech-mapping: adder/xor columns all compile to the same LUT
     /// function, and [`compile`] groups them) execute as a *fused run*:
-    /// the table is decoded once — parity tables (XOR/XNOR chains,
-    /// everywhere in adders and AES) collapse to a chain of chunk XORs,
-    /// anything else to a minterm list over whichever of the true/false
-    /// row sets is smaller (complementing the result when the false set
-    /// won) — then every op in the run sweeps the decoded form with its
-    /// operand chunks hoisted into stack locals, so the row loop never
-    /// re-reads the bit plane.
+    /// the table is decoded once — parity tables of two or more inputs
+    /// (XOR/XNOR chains, everywhere in adders and AES) collapse to a chain
+    /// of chunk XORs, anything else up to six inputs to its rows splatted
+    /// to all-zeros/all-ones words — then every op in the run hoists its
+    /// operand chunks into stack locals and folds the splatted rows
+    /// through a Shannon mux tree monomorphized on arity
+    /// ([`ExecPlan::mux_tree_run`]). Wider LUTs (pre-mapping ROMs) index
+    /// the table per lane.
     ///
     /// Consecutive word ops (`Mac`/`CopyWord` — region-blocked scheduling
     /// groups them) execute lane-block-wise: each 64-lane column of the
@@ -684,13 +697,6 @@ impl ExecPlan {
                     let n = stream.c[i] as usize;
                     let t = stream.b[i] as usize;
                     if n <= 6 {
-                        let table = self.tables[t];
-                        let nrows_total = 1usize << n;
-                        let row_mask = if n == 6 {
-                            u64::MAX
-                        } else {
-                            (1u64 << nrows_total) - 1
-                        };
                         // Fused run: every following op with the same
                         // table and arity reuses the decoded form.
                         let mut end = i + 1;
@@ -701,15 +707,14 @@ impl ExecPlan {
                         {
                             end += 1;
                         }
+                        let table = self.tables[t];
+                        let row_mask = u64::MAX >> (64 - (1 << n));
                         // Parity fast path: T[row] == parity(row) ^ c for
-                        // all rows ⇔ the op is an XOR/XNOR chain.
-                        let mut parity_mask = 0u64;
-                        for row in 0..nrows_total {
-                            parity_mask |= (((row as u64).count_ones() & 1) as u64) << row;
-                        }
-                        if table & row_mask == parity_mask & row_mask
-                            || table & row_mask == !parity_mask & row_mask
-                        {
+                        // all rows ⇔ the op is an XOR/XNOR chain, and from
+                        // two inputs on n XORs beat 2^n − 1 muxes.
+                        let parity = table & row_mask == PARITY & row_mask
+                            || table & row_mask == !PARITY & row_mask;
+                        if n >= 2 && parity {
                             let flip = if table & 1 == 1 { u64::MAX } else { 0 };
                             for op in i..end {
                                 let off = stream.a[op] as usize;
@@ -723,55 +728,25 @@ impl ExecPlan {
                                 }
                                 bits[stream.dst[op] as usize] = acc;
                             }
-                            i = end;
-                            continue;
-                        }
-                        // Decode whichever of the true/false row sets is
-                        // smaller; sweeping the false set computes the
-                        // complement, undone by `flip` at the end.
-                        let trues = (table & row_mask).count_ones() as usize;
-                        let decode_false = trues * 2 > nrows_total;
-                        let (want, flip) = if decode_false {
-                            (0u64, u64::MAX)
                         } else {
-                            (1u64, 0u64)
-                        };
-                        let mut rows = [0u8; 64];
-                        let mut nrows = 0usize;
-                        for row in 0..nrows_total {
-                            if (table >> row) & 1 == want {
-                                rows[nrows] = row as u8;
-                                nrows += 1;
-                            }
-                        }
-                        for op in i..end {
-                            let off = stream.a[op] as usize;
-                            let ins = &self.operands[off..off + n];
-                            // Hoist the operand chunks: the row sweep then
-                            // runs entirely out of stack slots/registers.
-                            let mut v = [[0u64; N]; 6];
-                            for (k, &slot) in ins.iter().enumerate() {
-                                v[k] = bits[slot as usize];
-                            }
-                            let mut acc = [0u64; N];
-                            for &row in &rows[..nrows] {
-                                let mut term = [u64::MAX; N];
-                                for (k, vk) in v[..n].iter().enumerate() {
-                                    // Branch-free polarity: all-ones XOR
-                                    // complements the operand chunk.
-                                    let inv = (((row >> k) & 1) as u64).wrapping_sub(1);
-                                    for x in 0..N {
-                                        term[x] &= vk[x] ^ inv;
+                            // Splat each row to an all-zeros/all-ones
+                            // word once per run; every op then folds them.
+                            let rows: [u64; 64] =
+                                std::array::from_fn(|r| ((table >> r) & 1).wrapping_neg());
+                            let run = i..end;
+                            match n {
+                                0 => {
+                                    for op in run {
+                                        bits[stream.dst[op] as usize] = [rows[0]; N];
                                     }
                                 }
-                                for x in 0..N {
-                                    acc[x] |= term[x];
-                                }
+                                1 => self.mux_tree_run::<N, 1>(stream, run, &rows, bits),
+                                2 => self.mux_tree_run::<N, 2>(stream, run, &rows, bits),
+                                3 => self.mux_tree_run::<N, 3>(stream, run, &rows, bits),
+                                4 => self.mux_tree_run::<N, 4>(stream, run, &rows, bits),
+                                5 => self.mux_tree_run::<N, 5>(stream, run, &rows, bits),
+                                _ => self.mux_tree_run::<N, 6>(stream, run, &rows, bits),
                             }
-                            for a in &mut acc {
-                                *a ^= flip;
-                            }
-                            bits[stream.dst[op] as usize] = acc;
                         }
                         i = end;
                         continue;
@@ -912,6 +887,46 @@ impl ExecPlan {
             i += 1;
         }
     }
+
+    /// Executes a fused run of `K`-input LUT ops (`1 <= K <= 6`) sharing
+    /// one table, given as its `rows` splatted to all-zeros/all-ones
+    /// words. Each op is a Shannon mux tree: the `2^K` rows fold pairwise
+    /// on operand 0, those `2^(K-1)` results on operand 1, and so on up to
+    /// operand `K − 1` — `2^K − 1` branch-free `f ^ ((f ^ g) & x)` muxes
+    /// per 64-lane word, every trip count a constant so the loops unroll.
+    fn mux_tree_run<const N: usize, const K: usize>(
+        &self,
+        stream: &OpStream,
+        run: std::ops::Range<usize>,
+        rows: &[u64; 64],
+        bits: &mut [[u64; N]],
+    ) {
+        for op in run {
+            let off = stream.a[op] as usize;
+            let ins = &self.operands[off..off + K];
+            let x: [[u64; N]; K] = std::array::from_fn(|k| bits[ins[k] as usize]);
+            let mut r = [0u64; N];
+            // One word at a time: a 64-lane tree stays in registers, where
+            // a `[u64; N]`-wide one spills to the stack from N = 4 on.
+            for w in 0..N {
+                // Level 0 fills m[..2^(K-1)]; level k writes m[j] only
+                // after reading m[2j] and m[2j + 1].
+                let mut m = [0u64; 32];
+                for j in 0..1 << (K - 1) {
+                    let (f, d) = (rows[2 * j], rows[2 * j] ^ rows[2 * j + 1]);
+                    m[j] = f ^ (d & x[0][w]);
+                }
+                for (k, xk) in x.iter().enumerate().skip(1) {
+                    for j in 0..1 << (K - 1 - k) {
+                        let (f, g) = (m[2 * j], m[2 * j + 1]);
+                        m[j] = f ^ ((f ^ g) & xk[w]);
+                    }
+                }
+                r[w] = m[0];
+            }
+            bits[stream.dst[op] as usize] = r;
+        }
+    }
 }
 
 /// Incrementally lowers a validated netlist into an [`ExecPlan`].
@@ -929,7 +944,8 @@ pub struct PlanBuilder<'a> {
     table_off: Vec<u32>,
     /// Table-pool offset by *content*: distinct nodes computing the same
     /// LUT function share one pool run, which both shrinks the pool and
-    /// lets the batch engine fuse their minterm sweeps.
+    /// lets the batch engine decode the table once for a whole run of
+    /// them.
     table_index: HashMap<Vec<u64>, u32>,
     main: OpStream,
     post: OpStream,
@@ -1206,6 +1222,7 @@ mod tests {
     use crate::builder::CircuitBuilder;
     use crate::eval::Evaluator;
     use crate::techmap::{tech_map, TechMapOptions};
+    use crate::truth::TruthTable;
 
     fn compiled_matches_reference(netlist: &Netlist, stimuli: &[Vec<Value>], cycles: usize) {
         let plan = compile(netlist).unwrap();
@@ -1443,11 +1460,54 @@ mod tests {
         let mut narrow = plan.new_batch_state_for(64);
         assert!(matches!(
             plan.run_batch_cycle_any(&mut narrow, &lanes, &mut out),
-            Err(NetlistError::InputCountMismatch {
-                expected: 64,
+            Err(NetlistError::LaneCountOutOfRange {
+                capacity: 64,
                 found: 100
             })
         ));
+    }
+
+    #[test]
+    fn mux_tree_matches_table_at_every_arity() {
+        // One non-parity table per arity 0..=6, applied to the inputs in
+        // order and reversed, so each op sits in a two-op fused run; every
+        // input row gets its own lane.
+        const BITS: u64 = 0xCAFE_F00D_1234_5678;
+        fn check<const N: usize>(plan: &ExecPlan, lanes: &[Vec<Value>], expect: &[Vec<Value>]) {
+            let mut state = plan.new_wide_batch_state::<N>();
+            let mut out = Vec::new();
+            plan.run_wide_batch_cycle(&mut state, lanes, &mut out)
+                .unwrap();
+            assert_eq!(out, expect, "width {}", N * BATCH_LANES);
+        }
+        for n in 0..=6usize {
+            let mask = u64::MAX >> (64 - (1 << n));
+            // Below two inputs every table takes the mux tree.
+            assert!(n < 2 || (BITS & mask != PARITY & mask && BITS & mask != !PARITY & mask));
+            let table = TruthTable::from_fn(n, |r| (BITS >> r) & 1 == 1).unwrap();
+            let mut b = CircuitBuilder::new("mux");
+            let ins: Vec<_> = (0..n).map(|k| b.bit_input(&format!("i{k}"))).collect();
+            let rev: Vec<_> = ins.iter().rev().copied().collect();
+            let y = b.lut(table.clone(), &ins);
+            let z = b.lut(table.clone(), &rev);
+            b.bit_output("y", y);
+            b.bit_output("z", z);
+            let plan = compile(&b.finish().unwrap()).unwrap();
+            let rows = 0..1usize << n;
+            let lanes: Vec<Vec<Value>> = rows
+                .clone()
+                .map(|r| (0..n).map(|k| Value::Bit((r >> k) & 1 == 1)).collect())
+                .collect();
+            let expect: Vec<Vec<Value>> = rows
+                .map(|r| {
+                    let rr = (0..n).fold(0, |acc, k| acc | (((r >> (n - 1 - k)) & 1) << k));
+                    vec![Value::Bit(table.get(r)), Value::Bit(table.get(rr))]
+                })
+                .collect();
+            check::<1>(&plan, &lanes, &expect);
+            check::<4>(&plan, &lanes, &expect);
+            check::<8>(&plan, &lanes, &expect);
+        }
     }
 
     #[test]
