@@ -62,6 +62,12 @@ impl FoldPlan {
     }
 
     /// Creates an executor with sequential state at power-on values.
+    ///
+    /// Single-lane execution with carried state, the path
+    /// `Accelerator::execute` runs and the named oracle the fold and
+    /// compiled equivalence tests compare the bit-sliced batch plan
+    /// against. The serving engine does not use it: it runs every request
+    /// as a fresh-start lane of a packed batch sweep.
     pub fn executor(&self) -> FoldPlanExecutor<'_> {
         FoldPlanExecutor {
             plan: self,

@@ -245,7 +245,7 @@ impl<const N: usize> BatchState<N> {
 
 /// Runtime-width batch state: wraps one of the supported monomorphized
 /// widths ([`BATCH_WIDTHS`]) so callers that only learn the batch size at
-/// runtime — the serve coalescer, [`equivalent_on`](crate::eval::equivalent_on)
+/// runtime — the serving engine's deferred sweeps, [`equivalent_on`](crate::eval::equivalent_on)
 /// — still execute the straight-line `[u64; N]` loops. Build with
 /// [`ExecPlan::new_batch_state_for`], run with
 /// [`ExecPlan::run_batch_cycle_any`].

@@ -7,9 +7,8 @@ use crate::queue::{AdmissionQueue, Queued};
 /// everything left behind.
 ///
 /// Compatibility is per-request, not per-kernel: the queue already holds a
-/// single kernel, but an `exclusive` request streams into the
-/// accelerator's live register state and therefore rides alone on the
-/// single-lane folded path. So:
+/// single kernel, but an `exclusive` request demands a dispatch of its
+/// own (one lane, timed as single-lane folded execution). So:
 ///
 /// * an exclusive anchor returns a batch of exactly one;
 /// * a batchable anchor coalesces with other batchable requests (exclusive

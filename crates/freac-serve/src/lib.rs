@@ -18,9 +18,10 @@
 //! | [`report`]  | fixed-width per-tenant latency tables |
 //! | [`cluster`] | N shards under one clock: affinity routing, stealing, autoscaling |
 //!
-//! Batched dispatches ride the 64-lane bit-sliced plan from
-//! `freac_netlist::plan`; `exclusive` requests fall back to the
-//! single-lane folded executor. Reconfiguration and way-reclaim costs come
+//! Simulated timing never reads functional results, so the server defers
+//! each served request's functional run and executes every kernel's
+//! pending lanes together on the 512-lane bit-sliced plan from
+//! `freac_netlist::plan`. Reconfiguration and way-reclaim costs come
 //! from [`freac_core::reconfig_cost`]; latency is
 //! `queue wait + reconfiguration + fold execution` on the tile clock.
 //! Everything — schedule, completion order, counters — is a pure function
@@ -60,7 +61,7 @@ pub use freac_core::HandoffMode;
 pub use loadgen::{open_loop_trace, ClosedLoop, TenantSpec};
 pub use queue::{AdmissionQueue, ShedPolicy};
 pub use report::{cluster_tenant_table, tenant_table};
-pub use request::{Completion, Outcome, Request, Shed, ShedReason};
+pub use request::{Completion, Outcome, Request, Served, Shed, ShedReason};
 pub use sched::SchedPolicy;
 pub use server::{
     DispatchRecord, RequestProfile, ServeConfig, ServeReport, Server, TenantSummary,

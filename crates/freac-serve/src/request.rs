@@ -20,9 +20,11 @@ pub struct Request {
     /// Absolute completion deadline, if any (consumed by the
     /// deadline-aware scheduler and reported as `deadline_met`).
     pub deadline_ps: Option<Time>,
-    /// Demands single-lane folded execution: the request streams into the
-    /// accelerator's live register state, so it cannot share a batch with
-    /// fresh-start invocations.
+    /// Demands a dispatch of its own: the request occupies a slice alone,
+    /// single-lane, and is timed and counted as single-lane folded
+    /// execution. Functionally it is a fresh-start invocation like any
+    /// other, so its output hash comes from the same packed bit-sliced
+    /// sweep as batched riders.
     pub exclusive: bool,
     /// Seed from which the request's input vector is synthesized.
     pub seed: u64,
@@ -97,7 +99,11 @@ pub struct Completion {
     /// FNV-1a hash of the primary outputs after the functional run —
     /// deterministic for a given (kernel, seed), and what the load
     /// generator's sampled verification replays against the reference
-    /// evaluator.
+    /// evaluator. The server defers functional execution into full
+    /// bit-sliced sweeps per kernel, so the hash is filled when its
+    /// kernel's pending lanes flush: once 512 are waiting, or when the
+    /// report is assembled. The run hook never sees it (it gets a
+    /// [`Served`]); every report carries it.
     pub output_hash: u64,
     /// The request's input seed (kept for verification replay).
     pub seed: u64,
@@ -114,6 +120,61 @@ impl Completion {
     /// Time spent queued before dispatch.
     pub fn queue_wait_ps(&self) -> Time {
         self.start_ps - self.arrival_ps
+    }
+}
+
+/// A finished request as the run hook sees it: every field of a
+/// [`Completion`] except the output hash, which does not exist yet when
+/// the hook runs (see [`Completion::output_hash`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Served {
+    /// Submitting tenant.
+    pub tenant: String,
+    /// Tenant-local sequence number.
+    pub seq: u64,
+    /// Kernel that ran.
+    pub kernel: String,
+    /// When the request arrived.
+    pub arrival_ps: Time,
+    /// When its batch was dispatched to a slice (end of queue wait).
+    pub start_ps: Time,
+    /// When execution finished.
+    pub done_ps: Time,
+    /// Reconfiguration time charged to this batch.
+    pub reconfig_ps: Time,
+    /// Fold-execution time of the batch.
+    pub exec_ps: Time,
+    /// Dispatch this completion rode in.
+    pub batch_id: u64,
+    /// Lanes occupied by the batch.
+    pub lanes: usize,
+    /// Slice that executed the batch.
+    pub slice: usize,
+    /// The request's input seed.
+    pub seed: u64,
+    /// Whether the deadline was met, when one was set.
+    pub deadline_met: Option<bool>,
+}
+
+impl Served {
+    /// The report's completion: this record plus its output hash.
+    pub(crate) fn with_output_hash(self, output_hash: u64) -> Completion {
+        Completion {
+            tenant: self.tenant,
+            seq: self.seq,
+            kernel: self.kernel,
+            arrival_ps: self.arrival_ps,
+            start_ps: self.start_ps,
+            done_ps: self.done_ps,
+            reconfig_ps: self.reconfig_ps,
+            exec_ps: self.exec_ps,
+            batch_id: self.batch_id,
+            lanes: self.lanes,
+            slice: self.slice,
+            output_hash,
+            seed: self.seed,
+            deadline_met: self.deadline_met,
+        }
     }
 }
 
@@ -150,8 +211,9 @@ pub struct Shed {
 /// closed-loop driver can react (issue the next request, retry a shed).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Outcome {
-    /// A request finished executing.
-    Completed(Completion),
+    /// A request finished executing (its output hash arrives with the
+    /// report's [`Completion`]).
+    Completed(Served),
     /// A request was refused.
     Shed(Shed),
 }

@@ -39,6 +39,20 @@
 //! a dispatch's kernel is not resident on the slice: a full flush+config
 //! on first claim, config streaming only on a swap; way reclaim is paid
 //! once at drain and reported as teardown.
+//!
+//! # Deferred functional execution
+//!
+//! Timing never reads a functional result: a dispatch's `exec_ps` comes
+//! from the cost model alone, and only the report's
+//! [`Completion::output_hash`] holds the outputs. So a dispatch does not
+//! execute its riders; it appends `(completion slot, seed)` to its
+//! kernel's pending lanes. A kernel's lanes run as one bit-sliced sweep
+//! when [`MAX_BATCH_LANES`] are waiting, and [`Server::report`] sweeps
+//! whatever is left. Every lane is a fresh-start invocation, so grouping
+//! lanes across dispatches changes no output. The flush is deliberately
+//! not tied to [`Server::run_until`] returning: a cluster pumps shards
+//! in short epochs, and flushing per epoch would bring back the narrow
+//! sweeps this avoids.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -58,7 +72,7 @@ use crate::error::ServeError;
 use crate::inputs::{hash_outputs, synth_inputs};
 use crate::pending::{next_id, Pending, PendingQueue};
 use crate::queue::{AdmissionQueue, AdmitResult, ShedPolicy};
-use crate::request::{Completion, Outcome, Request, Shed, ShedReason};
+use crate::request::{Completion, Outcome, Request, Served, Shed, ShedReason};
 use crate::sched::{pick, SchedPolicy, TenantState};
 use crate::tlb::{TenantTlb, TlbSegment};
 
@@ -184,6 +198,38 @@ struct ServedKernel {
     lanes_cap: usize,
     /// Tiles the partition hosts: one wave runs this many lanes at once.
     tiles: usize,
+    /// Riders whose functional run is still pending, as `(completion
+    /// slot, seed)`: swept together once [`MAX_BATCH_LANES`] wait, or by
+    /// [`Server::report`].
+    deferred: Vec<(usize, u64)>,
+}
+
+impl ServedKernel {
+    /// Runs every deferred lane in one bit-sliced sweep (the narrowest
+    /// width that fits) and writes each lane's output hash into its
+    /// completion slot.
+    fn flush_deferred(&mut self, hashes: &mut [u64]) -> Result<(), ServeError> {
+        if self.deferred.is_empty() {
+            return Ok(());
+        }
+        let net = self.accel.netlist();
+        let lanes: Vec<Vec<freac_netlist::Value>> = self
+            .deferred
+            .iter()
+            .map(|&(_, seed)| synth_inputs(net, seed))
+            .collect();
+        let mut state = self.plan.new_batch_state_for(lanes.len());
+        let mut out = Vec::new();
+        for _ in 0..self.func_cycles {
+            self.plan
+                .run_batch_cycle_any(&mut state, &lanes, &mut out)?;
+        }
+        for (&(slot, _), o) in self.deferred.iter().zip(&out) {
+            hashes[slot] = hash_outputs(o);
+        }
+        self.deferred.clear();
+        Ok(())
+    }
 }
 
 /// One compute slice's scheduling state.
@@ -373,6 +419,10 @@ pub struct Server {
     /// of [`Outcome`]s (not separate completion and shed logs) so a
     /// cluster can hand its run hook references instead of clones.
     outcomes: Vec<Outcome>,
+    /// Output hash of each completion in `outcomes`, in log order. A slot
+    /// is written when its kernel's deferred lanes flush, and every slot
+    /// is written before [`Server::report`] reads it.
+    hashes: Vec<u64>,
     dispatches: Vec<DispatchRecord>,
 }
 
@@ -431,6 +481,7 @@ impl Server {
             now: 0,
             batch_seq: 0,
             outcomes: Vec::new(),
+            hashes: Vec::new(),
             dispatches: Vec::new(),
         })
     }
@@ -525,6 +576,7 @@ impl Server {
             lanes_cap,
             tiles,
             accel,
+            deferred: Vec::new(),
         });
         self.queues.push(AdmissionQueue::new(self.cfg.queue_depth));
         Ok(())
@@ -700,7 +752,7 @@ impl Server {
         F: FnMut(&Outcome) -> Vec<Request>,
     {
         self.run_until(Time::MAX, &mut hook)?;
-        Ok(self.report())
+        self.report()
     }
 
     /// Runs the serving loop, but only through events at or before
@@ -1061,33 +1113,7 @@ impl Server {
         let start = t.saturating_add(reconfig_ps);
         let done = start.saturating_add(exec_ps);
 
-        // Functional execution: exclusive requests stream through the
-        // single-lane folded path (they own the accelerator's register
-        // state); everything else rides the bit-sliced batch plan, whose
-        // per-lane latch state makes fresh-start invocations independent.
-        let lanes: Vec<Vec<freac_netlist::Value>> = batch
-            .iter()
-            .map(|p| synth_inputs(ctx.accel.netlist(), p.req.seed))
-            .collect();
         let single_lane = batch[0].req.exclusive || !self.cfg.batching;
-        let hashes: Vec<u64> = if single_lane {
-            let mut ex = ctx.accel.fold_plan().executor();
-            let mut out = Vec::new();
-            for _ in 0..ctx.func_cycles {
-                ex.run_cycle_into(&lanes[0], &mut out)?;
-            }
-            vec![hash_outputs(&out)]
-        } else {
-            // Width picked per dispatch: the narrowest bit-sliced sweep
-            // that fits the batch, so 65..=256 riders run one 4-word pass
-            // instead of several 64-lane rounds.
-            let mut state = ctx.plan.new_batch_state_for(k);
-            let mut out = Vec::new();
-            for _ in 0..ctx.func_cycles {
-                ctx.plan.run_batch_cycle_any(&mut state, &lanes, &mut out)?;
-            }
-            out.iter().map(|o| hash_outputs(o)).collect()
-        };
 
         // Accounting: execution is split evenly across the riders. A
         // kernel *swap* is charged to the anchor's tenant — churning the
@@ -1148,9 +1174,17 @@ impl Server {
                 .collect(),
         });
 
-        for (lane, Pending { tenant, req, .. }) in batch.into_iter().enumerate() {
+        for Pending { tenant, req, .. } in batch {
+            // The functional run is deferred (see the module docs): the
+            // rider takes a hash slot and joins its kernel's pending lanes.
+            let kernel = &mut self.kernels[ki];
+            kernel.deferred.push((self.hashes.len(), req.seed));
+            self.hashes.push(0);
+            if kernel.deferred.len() == MAX_BATCH_LANES {
+                kernel.flush_deferred(&mut self.hashes)?;
+            }
             let keys = &self.tenant_keys[tenant as usize];
-            let completion = Completion {
+            let served = Served {
                 arrival_ps: req.arrival_ps,
                 start_ps: t,
                 done_ps: done,
@@ -1159,40 +1193,48 @@ impl Server {
                 batch_id,
                 lanes: k,
                 slice: si,
-                output_hash: hashes[if single_lane { 0 } else { lane }],
                 seed: req.seed,
                 deadline_met: req.deadline_ps.map(|d| done <= d),
                 tenant: req.tenant,
                 seq: req.seq,
                 kernel: req.kernel,
             };
+            let latency_ps = done - served.arrival_ps;
             self.probes.inc("serve.requests.completed");
             self.probes.inc(&keys.completed);
             self.probes
-                .observe("serve.queue.wait_ps", completion.queue_wait_ps());
-            self.probes
-                .observe("serve.latency_ps", completion.latency_ps());
-            self.probes
-                .observe(&keys.latency_ps, completion.latency_ps());
-            match completion.deadline_met {
+                .observe("serve.queue.wait_ps", t - served.arrival_ps);
+            self.probes.observe("serve.latency_ps", latency_ps);
+            self.probes.observe(&keys.latency_ps, latency_ps);
+            match served.deadline_met {
                 Some(true) => self.probes.inc("serve.deadlines.met"),
                 Some(false) => self.probes.inc("serve.deadlines.missed"),
                 None => {}
             }
-            self.react(Outcome::Completed(completion), done, hook)?;
+            self.react(Outcome::Completed(served), done, hook)?;
         }
         Ok(())
     }
 
-    /// Exports end-of-drain counters and assembles the report. Public so
-    /// a cluster that drives shards via [`Server::run_until`] can collect
-    /// per-shard reports after the last epoch; [`Server::run`] calls it
-    /// automatically.
+    /// Runs every kernel's deferred lanes, exports end-of-drain counters,
+    /// and assembles the report. Public so a cluster that drives shards
+    /// via [`Server::run_until`] can collect per-shard reports after the
+    /// last epoch; [`Server::run`] calls it automatically. A report taken
+    /// after any prefix of the run is exact: every completion in it
+    /// carries its output hash.
     ///
     /// The report *drains* the completion, shed, and dispatch logs: they
     /// move into it, so a later report lists only what happened after this
     /// one. The probe counters stay cumulative across reports.
-    pub fn report(&mut self) -> ServeReport {
+    ///
+    /// # Errors
+    ///
+    /// Propagates a failing deferred functional sweep; nothing is drained
+    /// or exported then.
+    pub fn report(&mut self) -> Result<ServeReport, ServeError> {
+        for k in &mut self.kernels {
+            k.flush_deferred(&mut self.hashes)?;
+        }
         let mut teardown_ps = 0;
         for (i, s) in self.slices.iter_mut().enumerate() {
             // Slice counters are exported as deltas against the last
@@ -1240,14 +1282,20 @@ impl Server {
             .iter()
             .filter(|o| matches!(o, Outcome::Completed(_)))
             .count();
-        let mut completions = Vec::with_capacity(done);
+        let mut served = Vec::with_capacity(done);
         let mut sheds = Vec::with_capacity(outcomes.len() - done);
         for o in outcomes {
             match o {
-                Outcome::Completed(c) => completions.push(c),
+                Outcome::Completed(c) => served.push(c),
                 Outcome::Shed(s) => sheds.push(s),
             }
         }
+        debug_assert_eq!(served.len(), self.hashes.len());
+        let mut completions: Vec<_> = served
+            .into_iter()
+            .zip(std::mem::take(&mut self.hashes))
+            .map(|(c, hash)| c.with_output_hash(hash))
+            .collect();
         completions
             .sort_by(|a, b| (a.done_ps, &a.tenant, a.seq).cmp(&(b.done_ps, &b.tenant, b.seq)));
         let span_ps = completions.iter().map(|c| c.done_ps).max().unwrap_or(0);
@@ -1259,7 +1307,7 @@ impl Server {
         freac_probe::debug_check(&self.probes);
         freac_probe::global::merge(&self.probes);
 
-        ServeReport {
+        Ok(ServeReport {
             completions,
             sheds,
             dispatches: std::mem::take(&mut self.dispatches),
@@ -1267,7 +1315,7 @@ impl Server {
             teardown_ps,
             probes: self.probes.clone(),
             tenants,
-        }
+        })
     }
 }
 
@@ -1301,6 +1349,22 @@ mod tests {
         s.add_tenant("a", 1).unwrap();
         s.add_tenant("b", 1).unwrap();
         s
+    }
+
+    /// Asserts every completion in `r` carries the reference evaluator's
+    /// output hash.
+    fn assert_hashes_exact(s: &Server, r: &ServeReport) {
+        for c in &r.completions {
+            let net = s.kernel_netlist(&c.kernel).unwrap();
+            let cycles = s.kernel_func_cycles(&c.kernel).unwrap();
+            assert_eq!(
+                c.output_hash,
+                reference_hash(net, c.seed, cycles).unwrap(),
+                "completion ({}, {}) diverged",
+                c.tenant,
+                c.seq
+            );
+        }
     }
 
     #[test]
@@ -1365,11 +1429,7 @@ mod tests {
         );
         // Same functional results as the reference evaluator, tail lanes
         // and all.
-        let net = s.kernel_netlist("k").unwrap();
-        let cycles = s.kernel_func_cycles("k").unwrap();
-        for c in &r.completions {
-            assert_eq!(c.output_hash, reference_hash(net, c.seed, cycles).unwrap());
-        }
+        assert_hashes_exact(&s, &r);
     }
 
     #[test]
@@ -1430,17 +1490,64 @@ mod tests {
         s.submit(Request::new("a", 0, "k", 0, 7)).unwrap();
         s.submit(ex).unwrap();
         let r = s.run_to_completion().unwrap();
-        let net = s.kernel_netlist("k").unwrap();
-        let cycles = s.kernel_func_cycles("k").unwrap();
-        for c in &r.completions {
-            assert_eq!(
-                c.output_hash,
-                reference_hash(net, c.seed, cycles).unwrap(),
-                "completion ({}, {}) diverged",
-                c.tenant,
-                c.seq
-            );
+        assert_hashes_exact(&s, &r);
+    }
+
+    #[test]
+    fn prefix_reports_are_exact() {
+        // Reports are taken once each prefix's requests have terminated
+        // (the probe laws demand it), with hashes still pending.
+        let mut s = server_with(ServeConfig {
+            slices: 1,
+            queue_depth: 1024,
+            max_lanes: MAX_BATCH_LANES,
+            ..ServeConfig::default()
+        });
+        let mut no_follow_ups = |_: &Outcome| Vec::new();
+
+        // 600 riders at t = 0. The first dispatch carries 512 of them, so
+        // the kernel's pending lanes fill and sweep during the run; the
+        // 88-rider remainder is still pending when the report sweeps it.
+        for i in 0..600 {
+            s.submit(Request::new("a", i, "k", 0, i)).unwrap();
         }
+        s.run_until(0, &mut no_follow_ups).unwrap();
+        assert_eq!(s.outcome_count(), MAX_BATCH_LANES);
+        assert!(s.kernels[0].deferred.is_empty(), "a full buffer sweeps");
+        s.run_until(Time::MAX, &mut no_follow_ups).unwrap();
+        assert_eq!(s.kernels[0].deferred.len(), 600 - MAX_BATCH_LANES);
+        let r = s.report().unwrap();
+        assert!(s.kernels[0].deferred.is_empty());
+        assert_eq!(r.completions.len(), 600);
+        assert_hashes_exact(&s, &r);
+
+        // A trickle in which every third request is exclusive, reported
+        // after a rescale.
+        let t0 = s.now();
+        for i in 0..30 {
+            let mut r = Request::new("b", i, "k", t0 + 1_000_000 * (i + 1), 10_000 + i);
+            r.exclusive = i % 3 == 0;
+            s.submit(r).unwrap();
+        }
+        s.run_until(t0 + 10_000_000, &mut no_follow_ups).unwrap();
+        let waiting = s.kernels[0].deferred.len();
+        assert!(waiting > 0 && waiting < 30);
+        s.rescale(SlicePartition::max_compute(), s.now()).unwrap();
+        s.run_until(Time::MAX, &mut no_follow_ups).unwrap();
+        let r = s.report().unwrap();
+        assert_eq!(r.completions.len(), 30);
+        assert_eq!(r.probes.counter("serve.batches.single_lane"), 10);
+        assert_hashes_exact(&s, &r);
+
+        // One more prefix on the rescaled server.
+        let t1 = s.now();
+        for i in 0..5 {
+            s.submit(Request::new("a", 600 + i, "k", t1 + 1, 20_000 + i))
+                .unwrap();
+        }
+        let r = s.run_to_completion().unwrap();
+        assert_eq!(r.completions.len(), 5);
+        assert_hashes_exact(&s, &r);
     }
 
     #[test]

@@ -4,11 +4,13 @@
 //! skewed trace, elastic way autoscaling beats a static allocation on a
 //! load spike with every conversion charged, and a million-request
 //! full-fidelity smoke (50,000 requests in debug builds) drains with
-//! conservation intact and ordered quantiles.
+//! conservation intact, ordered quantiles, and sampled output hashes equal
+//! to the reference evaluator's.
 
 use freac::kernels::KernelId;
 use freac::netlist::builder::CircuitBuilder;
 use freac::netlist::Netlist;
+use freac::serve::inputs::reference_hash;
 use freac::serve::{
     AutoscaleConfig, Cluster, ClusterConfig, ClusterReport, Request, RequestProfile, RoutePolicy,
     ServeConfig, StealConfig,
@@ -325,4 +327,19 @@ fn million_request_full_fidelity_smoke_conserves_and_orders_quantiles() {
         p50 <= p95 && p95 <= p99,
         "quantiles out of order: p50 {p50} p95 {p95} p99 {p99}"
     );
+
+    // Every 7th completion (the load generator's verification stride)
+    // carries the reference evaluator's output hash, so a deferred lane
+    // lost or written to the wrong completion fails at full scale.
+    for c in report.completions.iter().step_by(7) {
+        let net = cluster.kernel_netlist(&c.kernel).expect("registered");
+        let cycles = cluster.kernel_func_cycles(&c.kernel).expect("registered");
+        assert_eq!(
+            c.output_hash,
+            reference_hash(net, c.seed, cycles).expect("reference runs"),
+            "completion ({}, {}) diverged from the reference evaluator",
+            c.tenant,
+            c.seq
+        );
+    }
 }

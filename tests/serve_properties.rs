@@ -8,10 +8,12 @@ use std::sync::Arc;
 use freac::core::{Accelerator, AcceleratorTile};
 use freac::kernels::KernelId;
 use freac::netlist::OptLevel;
+use freac::serve::inputs::reference_hash;
 use freac::serve::{
-    open_loop_trace, Cluster, ClusterConfig, ClusterReport, Request, RequestProfile, SchedPolicy,
-    ServeConfig, ServeError, ServeReport, Server, StealConfig, TenantSpec,
+    open_loop_trace, ClosedLoop, Cluster, ClusterConfig, ClusterReport, Request, RequestProfile,
+    SchedPolicy, ServeConfig, ServeError, ServeReport, Server, StealConfig, TenantSpec,
 };
+use freac::sim::Time;
 
 const SEED: u64 = 0x7e57_05e1;
 
@@ -277,6 +279,81 @@ fn serving_is_functionally_invariant_under_optimization() {
         "optimized serving was slower: {} > {}",
         opt.span_ps,
         raw.span_ps
+    );
+}
+
+#[test]
+fn closed_loop_prefix_reports_carry_exact_hashes() {
+    // The serve_offload shape: AES/GEMM tenants in a closed loop, one of
+    // them issuing exclusive requests. Each prefix runs with follow-ups
+    // flowing back into the server up to its bound, then drains while the
+    // loop holds follow-ups back, so every report is taken with nothing
+    // outstanding and deferred lanes still pending.
+    let mut web = TenantSpec::new("web", "aes", 40);
+    web.weight = 4;
+    web.concurrency = 8;
+    web.deadline_ps = Some(25_000_000);
+    let mut train = TenantSpec::new("train", "gemm", 30);
+    train.concurrency = 6;
+    let mut etl = TenantSpec::new("etl", "aes", 30);
+    etl.mix = vec![("aes".to_owned(), 1), ("gemm".to_owned(), 1)];
+    etl.weight = 2;
+    etl.concurrency = 6;
+    etl.exclusive_permille = 100;
+    let specs = vec![web, train, etl];
+    let mut server = Server::new(ServeConfig::default()).expect("config is valid");
+    server
+        .register_paper_kernel(KernelId::Aes)
+        .expect("aes maps");
+    server
+        .register_paper_kernel(KernelId::Gemm)
+        .expect("gemm maps");
+    for s in &specs {
+        server.add_tenant(&s.name, s.weight).expect("unique tenant");
+    }
+    let mut clients = ClosedLoop::new(&specs, SEED);
+    let mut next = clients.initial();
+    let mut completed = 0;
+    let mut prefixes = 0;
+    while !next.is_empty() {
+        for req in next.drain(..) {
+            server.submit(req).expect("closed-loop request is valid");
+        }
+        let bound = server.now() + 3_000_000;
+        server
+            .run_until(bound, &mut |o| clients.on_outcome(o))
+            .expect("prefix runs");
+        server
+            .run_until(Time::MAX, &mut |o| {
+                next.extend(clients.on_outcome(o));
+                Vec::new()
+            })
+            .expect("prefix drains");
+        let report = server.report().expect("deferred sweeps succeed");
+        for c in &report.completions {
+            let net = server.kernel_netlist(&c.kernel).expect("registered");
+            let cycles = server.kernel_func_cycles(&c.kernel).expect("registered");
+            assert_eq!(
+                c.output_hash,
+                reference_hash(net, c.seed, cycles).expect("reference runs"),
+                "completion ({}, {}) diverged",
+                c.tenant,
+                c.seq
+            );
+        }
+        prefixes += 1;
+        completed += report.completions.len();
+    }
+    assert!(prefixes >= 3, "only {prefixes} prefixes");
+    assert_eq!(completed, 100);
+    assert!(
+        server
+            .report()
+            .expect("empty report")
+            .probes
+            .counter("serve.batches.single_lane")
+            > 0,
+        "exclusive requests must be part of the run"
     );
 }
 
