@@ -3,7 +3,6 @@
 use std::fmt;
 
 use freac_core::CoreError;
-use freac_fold::FoldError;
 use freac_netlist::NetlistError;
 
 /// Anything the serving subsystem can refuse to do.
@@ -33,8 +32,6 @@ pub enum ServeError {
     Core(CoreError),
     /// Compiling or batch-executing the kernel's netlist plan failed.
     Netlist(NetlistError),
-    /// Single-lane folded execution failed.
-    Fold(FoldError),
 }
 
 impl fmt::Display for ServeError {
@@ -55,7 +52,6 @@ impl fmt::Display for ServeError {
             ),
             ServeError::Core(e) => write!(f, "core: {e}"),
             ServeError::Netlist(e) => write!(f, "netlist: {e}"),
-            ServeError::Fold(e) => write!(f, "fold: {e}"),
         }
     }
 }
@@ -71,11 +67,5 @@ impl From<CoreError> for ServeError {
 impl From<NetlistError> for ServeError {
     fn from(e: NetlistError) -> Self {
         ServeError::Netlist(e)
-    }
-}
-
-impl From<FoldError> for ServeError {
-    fn from(e: FoldError) -> Self {
-        ServeError::Fold(e)
     }
 }
