@@ -1,10 +1,10 @@
 //! A minimal self-timed bench harness (std-only, no registry access).
 //!
 //! The workspace builds hermetically, so Criterion is replaced by this
-//! small fixed-iteration timer: each bench target regenerates its paper
-//! artefact, then reports mean wall-clock per iteration for its hot spot.
+//! small fixed-iteration timer that reports mean wall-clock per iteration.
 //! Benches stay `harness = false` binaries, runnable with
-//! `cargo bench -p bench` or individually via `cargo bench --bench fig12`.
+//! `cargo bench -p bench` or individually via `cargo bench --bench exec`.
+//! The paper's tables and figures are printed by `freac-eval`, not here.
 //!
 //! Next to each printed line the harness drops a machine-readable
 //! `BENCH_<name>.json` (mean/min ns per iteration, iteration count, git
@@ -54,7 +54,7 @@ pub fn bench_output_dir() -> PathBuf {
 /// writes `BENCH_<name>.json` into [`bench_output_dir`]. Returns the
 /// measurement so callers can derive speedups.
 pub fn bench_function<T>(name: &str, iters: u32, mut f: impl FnMut() -> T) -> BenchResult {
-    black_box(f()); // warm-up (also primes the process-wide mapping cache)
+    black_box(f()); // warm-up
     let smoke = smoke_mode();
     let iters = if smoke { 1 } else { iters.max(1) };
     let mut total_ns = 0u128;

@@ -9,96 +9,36 @@
 
 use std::process::ExitCode;
 
-use freac_experiments as exp;
-
-const ARTEFACTS: &[&str] = &[
-    "table1",
-    "table2",
-    "area",
-    "fig8",
-    "fig9",
-    "fig10",
-    "fig11",
-    "fig12",
-    "fig13",
-    "fig14",
-    "fig15",
-    "ablations",
-    "energy",
-    "multi",
-    "sensitivity",
-];
-
-fn run_one(name: &str) -> bool {
-    match name {
-        "table1" => println!("{}", exp::tables::table1()),
-        "table2" => println!("{}", exp::tables::table2()),
-        "area" => println!("{}", exp::area::area_report()),
-        "fig8" | "fig08" => println!("{}", exp::fig08::run().table()),
-        "fig9" | "fig09" => println!("{}", exp::fig09::run().table()),
-        "fig10" => println!("{}", exp::fig10::run().table()),
-        "fig11" => println!("{}", exp::fig11::run().table()),
-        "fig12" => {
-            let f = exp::fig12::run();
-            println!("{}", f.speedup_table());
-            println!("{}", f.power_table());
-            println!("{}", f.perf_per_watt_table());
-            let (vs1, vs8, ppw) = f.geomeans();
-            println!(
-                "geomeans: {vs1:.2}x vs 1T, {vs8:.2}x vs 8T, {ppw:.2}x perf/W (paper: 8.2x / 3x / 6.1x)\n"
-            );
-        }
-        "fig13" => println!("{}", exp::fig13::run().table()),
-        "fig14" => {
-            let f = exp::fig14::run();
-            println!("{}", f.table());
-            let (a, b) = f.geomean_advantage();
-            println!("geomeans: {a:.2}x vs 8 ECs, {b:.2}x vs 16 ECs (paper: ~4x / ~2x)\n");
-        }
-        "fig15" => println!("{}", exp::fig15::run().table()),
-        "energy" => println!("{}", exp::energy_breakdown::run().table()),
-        "sensitivity" => println!("{}", exp::sensitivity::run().table()),
-        "multi" => {
-            let r = exp::multi::run(&exp::multi::JobMix::representative());
-            println!("{}", r.table());
-        }
-        "ablations" => {
-            println!("{}", exp::ablations::lut_mode().table());
-            println!("{}", exp::ablations::clock_penalty().table());
-            println!("{}", exp::ablations::netlist_opt().table());
-            println!("{}", exp::ablations::packing().table());
-            println!("{}", exp::ablations::scheduler_policy().table());
-            println!("{}", exp::ablations::inclusion().table());
-        }
-        other => {
-            eprintln!("unknown artefact '{other}'");
-            return false;
-        }
-    }
-    true
-}
+use freac_experiments::artefacts::{names, select};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.is_empty() || args.iter().any(|a| a == "--help" || a == "-h") {
         eprintln!("usage: freac-eval <artefact>... | all | list");
-        eprintln!("artefacts: {}", ARTEFACTS.join(" "));
+        eprintln!("artefacts: {}", names().join(" "));
         return ExitCode::from(2);
     }
     if args.iter().any(|a| a == "list") {
-        for a in ARTEFACTS {
-            println!("{a}");
+        for name in names() {
+            println!("{name}");
         }
         return ExitCode::SUCCESS;
     }
-    let selected: Vec<&str> = if args.iter().any(|a| a == "all") {
-        ARTEFACTS.to_vec()
+    let requested: Vec<&str> = if args.iter().any(|a| a == "all") {
+        vec!["all"]
     } else {
         args.iter().map(String::as_str).collect()
     };
     let mut ok = true;
-    for name in selected {
-        ok &= run_one(name);
+    for name in requested {
+        let artefacts = select(name);
+        if artefacts.is_empty() {
+            eprintln!("unknown artefact '{name}'");
+            ok = false;
+        }
+        for artefact in artefacts {
+            println!("{}", (artefact.render)());
+        }
     }
     if ok {
         ExitCode::SUCCESS

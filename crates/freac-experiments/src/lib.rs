@@ -13,11 +13,12 @@
 //! | [`fig13`]  | Fig. 13 — end-to-end vs kernel-only speedup |
 //! | [`fig14`]  | Fig. 14 — embedded cores in the LLC vs FReaC |
 //! | [`fig15`]  | Fig. 15 — cache-interference study |
-//! | [`ablations`] | LUT mode, large-tile clock, LUT packing, scheduling policy, LLC inclusion |
+//! | [`ablations`] | LUT mode, large-tile clock, netlist opt, LUT packing, scheduling policy, LLC inclusion |
 //!
 //! Each runner returns a structured result that renders to an aligned text
 //! table (the same rows/series the paper plots) via [`render::TextTable`].
-//! The self-timed benches in the `bench` crate regenerate every artefact.
+//! [`artefacts`] names every rendered artefact; the `freac-eval` CLI and
+//! the `paper_figures` example both print from it.
 //!
 //! Runners fan their independent jobs across the [`parallel`] worker pool
 //! (worker count via `FREAC_WORKERS`, default: available parallelism) and
@@ -26,6 +27,7 @@
 
 pub mod ablations;
 pub mod area;
+pub mod artefacts;
 pub mod energy_breakdown;
 pub mod fig08;
 pub mod fig09;

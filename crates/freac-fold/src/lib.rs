@@ -53,6 +53,6 @@ pub mod scheduler;
 pub use constraints::{FoldConstraints, LutMode};
 pub use error::FoldError;
 pub use exec::FoldedExecutor;
-pub use plan::{compile_fold, FoldBatchExecutor, FoldPlan, FoldPlanExecutor};
+pub use plan::{compile_fold, FoldPlan, FoldPlanExecutor};
 pub use schedule::{FoldSchedule, FoldStep, ScheduleStats};
 pub use scheduler::{schedule_fold, schedule_fold_with, SchedulePolicy};

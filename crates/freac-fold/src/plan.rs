@@ -28,7 +28,7 @@
 //!   output plumbing chains observe the *new* register state — their ops
 //!   land in the plan's post-latch segment.
 
-use freac_netlist::plan::{AnyBatchState, ExecPlan, PlanBuilder, PlanState, Segment};
+use freac_netlist::plan::{ExecPlan, PlanBuilder, PlanState, Segment};
 use freac_netlist::{Netlist, NodeId, NodeKind, Value};
 use freac_probe::CounterRegistry;
 
@@ -79,126 +79,6 @@ impl FoldPlan {
             bus_reads: 0,
             bus_writes: 0,
         }
-    }
-
-    /// Creates a batch executor wide enough for `max_lanes` concurrent
-    /// lanes (rounded up to the narrowest supported bit-slice width),
-    /// every lane at power-on values.
-    pub fn batch_executor(&self, max_lanes: usize) -> FoldBatchExecutor<'_> {
-        FoldBatchExecutor {
-            plan: self,
-            state: self.plan.new_batch_state_for(max_lanes),
-            lane_passes: 0,
-            steps_executed: 0,
-            expected_steps: 0,
-            lut_evals: 0,
-            mac_issues: 0,
-            bus_reads: 0,
-            bus_writes: 0,
-        }
-    }
-}
-
-/// Runs a [`FoldPlan`] over many independent request lanes per pass, with
-/// the *same counter surface* as [`FoldPlanExecutor`]: one batch pass over
-/// `k` lanes accounts exactly like `k` single-lane passes, so counters
-/// (and every probe invariant over them) are independent of how work was
-/// batched. Outputs are per lane, and tail lanes beyond a partial batch
-/// never contribute to outputs or counters.
-#[derive(Debug)]
-pub struct FoldBatchExecutor<'a> {
-    plan: &'a FoldPlan,
-    state: AnyBatchState,
-    /// Lane-passes executed: the sum of `lanes.len()` over calls.
-    lane_passes: u64,
-    steps_executed: u64,
-    expected_steps: u64,
-    lut_evals: u64,
-    mac_issues: u64,
-    bus_reads: u64,
-    bus_writes: u64,
-}
-
-impl FoldBatchExecutor<'_> {
-    /// Widest batch one pass accepts (a [`BATCH_WIDTHS`] entry).
-    ///
-    /// [`BATCH_WIDTHS`]: freac_netlist::BATCH_WIDTHS
-    pub fn lane_capacity(&self) -> usize {
-        self.state.lane_capacity()
-    }
-
-    /// Lane-passes executed so far (what `.passes` exports): each lane of
-    /// each batch cycle is one pass, exactly as if it had run alone.
-    pub fn lane_passes(&self) -> u64 {
-        self.lane_passes
-    }
-
-    /// Total fold steps executed across all lanes.
-    pub fn steps_executed(&self) -> u64 {
-        self.steps_executed
-    }
-
-    /// Configuration-row reads issued across all lanes.
-    pub fn config_row_reads(&self) -> u64 {
-        self.steps_executed
-    }
-
-    /// Exports execution counters under `prefix` with the exact key set of
-    /// [`FoldPlanExecutor::export_into`]; values equal the merge of one
-    /// single-lane executor per lane.
-    pub fn export_into(&self, reg: &mut CounterRegistry, prefix: &str) {
-        reg.add(&format!("{prefix}.passes"), self.lane_passes);
-        reg.add(&format!("{prefix}.steps_executed"), self.steps_executed);
-        reg.add(&format!("{prefix}.expected_steps"), self.expected_steps);
-        reg.add(&format!("{prefix}.lut_evals"), self.lut_evals);
-        reg.add(&format!("{prefix}.mac_issues"), self.mac_issues);
-        reg.add(&format!("{prefix}.bus_reads"), self.bus_reads);
-        reg.add(&format!("{prefix}.bus_writes"), self.bus_writes);
-        reg.add(
-            &format!("{prefix}.config_row_reads"),
-            self.config_row_reads(),
-        );
-    }
-
-    /// Runs one original clock cycle for every supplied lane at once,
-    /// writing lane `l`'s primary outputs into `out[l]` without
-    /// steady-state allocation.
-    ///
-    /// # Errors
-    ///
-    /// Returns input-shape errors (including a batch wider than
-    /// [`FoldBatchExecutor::lane_capacity`]) with counters untouched,
-    /// matching the single-lane executor.
-    pub fn run_batch_cycle_into(
-        &mut self,
-        lanes: &[Vec<Value>],
-        out: &mut Vec<Vec<Value>>,
-    ) -> Result<(), FoldError> {
-        self.plan
-            .plan
-            .run_batch_cycle_any(&mut self.state, lanes, out)
-            .map_err(FoldError::Netlist)?;
-        let k = lanes.len() as u64;
-        self.lane_passes = self.lane_passes.saturating_add(k);
-        self.steps_executed = self
-            .steps_executed
-            .saturating_add(self.plan.steps_per_pass.saturating_mul(k));
-        self.expected_steps = self
-            .expected_steps
-            .saturating_add(self.plan.steps_per_pass.saturating_mul(k));
-        self.lut_evals = self
-            .lut_evals
-            .saturating_add(self.plan.lut_evals_per_pass.saturating_mul(k));
-        self.mac_issues = self
-            .mac_issues
-            .saturating_add(self.plan.mac_issues_per_pass.saturating_mul(k));
-        self.bus_reads = self
-            .bus_reads
-            .saturating_add(self.plan.bus_reads_per_pass.saturating_mul(k));
-        self.bus_writes = self
-            .bus_writes
-            .saturating_add(self.plan.bus_writes_per_pass.saturating_mul(k));
-        Ok(())
     }
 }
 
@@ -638,71 +518,6 @@ mod tests {
         px.export_into(&mut reg, "fold");
         assert_eq!(reg.counter("fold.passes"), 0);
         assert_eq!(reg.counter("fold.lut_evals"), 0);
-    }
-
-    #[test]
-    fn batch_executor_matches_merged_single_lane_executors() {
-        // A batch pass over k lanes must be indistinguishable — outputs
-        // AND exported counters — from k single-lane executors merged,
-        // at every supported width and with a partial (tail-bearing)
-        // batch. This is the fold-path tail-lane leak gate.
-        let mut b = CircuitBuilder::new("acc");
-        let x = b.word_input("x", 16);
-        let (acc, h) = b.word_reg(9, 16);
-        let sum = b.add(&acc, &x);
-        b.connect_word_reg(h, &sum);
-        b.word_output("acc", &acc);
-        let n = tech_map(&b.finish().unwrap(), TechMapOptions::lut4()).unwrap();
-        let cons = FoldConstraints::for_tile(2, LutMode::Lut4);
-        let schedule = schedule_fold(&n, &cons).unwrap();
-        let plan = compile_fold(&n, &schedule).unwrap();
-
-        for &k in &[5usize, 64, 100, 300] {
-            let lanes: Vec<Vec<Value>> = (0..k as u32)
-                .map(|l| vec![Value::Word(l.wrapping_mul(73).wrapping_add(3) & 0xFFFF)])
-                .collect();
-            let mut bx = plan.batch_executor(k);
-            assert!(bx.lane_capacity() >= k);
-            let mut singles: Vec<_> = (0..k).map(|_| plan.executor()).collect();
-            let mut out = Vec::new();
-            for cycle in 0..3 {
-                bx.run_batch_cycle_into(&lanes, &mut out).unwrap();
-                assert_eq!(out.len(), k, "outputs must cover exactly the batch");
-                for (l, sx) in singles.iter_mut().enumerate() {
-                    let expect = sx.run_cycle(&lanes[l]).unwrap();
-                    assert_eq!(out[l], expect, "k {k} lane {l} cycle {cycle}");
-                }
-            }
-            let mut ra = CounterRegistry::new();
-            let mut rb = CounterRegistry::new();
-            bx.export_into(&mut ra, "fold");
-            for sx in &singles {
-                sx.export_into(&mut rb, "fold");
-            }
-            assert_eq!(
-                ra.counters().collect::<Vec<_>>(),
-                rb.counters().collect::<Vec<_>>(),
-                "k {k}: batch counters must equal the merged single-lane counters"
-            );
-        }
-    }
-
-    #[test]
-    fn batch_executor_errors_leave_counters_untouched() {
-        let mut b = CircuitBuilder::new("t");
-        let a = b.word_input("a", 8);
-        b.word_output("o", &a);
-        let n = tech_map(&b.finish().unwrap(), TechMapOptions::lut4()).unwrap();
-        let cons = FoldConstraints::for_tile(1, LutMode::Lut4);
-        let schedule = schedule_fold(&n, &cons).unwrap();
-        let plan = compile_fold(&n, &schedule).unwrap();
-        let mut bx = plan.batch_executor(64);
-        let mut out = Vec::new();
-        let too_wide: Vec<Vec<Value>> = (0..65u32).map(|l| vec![Value::Word(l)]).collect();
-        assert!(bx.run_batch_cycle_into(&too_wide, &mut out).is_err());
-        assert!(bx.run_batch_cycle_into(&[], &mut out).is_err());
-        assert_eq!(bx.lane_passes(), 0);
-        assert_eq!(bx.steps_executed(), 0);
     }
 
     #[test]

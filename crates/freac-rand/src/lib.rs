@@ -121,24 +121,13 @@ impl Rng64 {
     ///
     /// # Panics
     ///
-    /// Panics if `choices` is empty (use [`Self::choose`] for a
-    /// non-panicking variant).
+    /// Panics if `choices` is empty.
     pub fn pick<'a, T>(&mut self, choices: &'a [T]) -> &'a T {
         assert!(
             !choices.is_empty(),
             "Rng64::pick: cannot pick from an empty slice"
         );
         &choices[self.index(choices.len())]
-    }
-
-    /// One element of `choices`, uniformly, or `None` when the slice is
-    /// empty.
-    pub fn choose<'a, T>(&mut self, choices: &'a [T]) -> Option<&'a T> {
-        if choices.is_empty() {
-            None
-        } else {
-            Some(&choices[self.index(choices.len())])
-        }
     }
 
     /// Shuffles `items` in place (Fisher–Yates); every permutation is
@@ -171,52 +160,6 @@ impl Rng64 {
             x -= w;
         }
         unreachable!("below(total) is always less than the summed weights")
-    }
-
-    /// An index into `weights` with probability proportional to its
-    /// (non-negative, finite) float weight, for weights that are naturally
-    /// floats (e.g. squared distances). Zero-weight entries are never
-    /// picked; when every weight is zero the pick falls back to uniform so
-    /// callers need no special case for degenerate inputs.
-    ///
-    /// Deterministic: the draw uses 53 uniform bits scaled into `[0, total)`
-    /// and a left-to-right prefix walk, all in plain IEEE arithmetic.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `weights` is empty or any weight is negative or non-finite.
-    pub fn weighted_f64(&mut self, weights: &[f64]) -> usize {
-        assert!(
-            !weights.is_empty(),
-            "Rng64::weighted_f64: weights must be non-empty"
-        );
-        let mut total = 0.0f64;
-        for &w in weights {
-            assert!(
-                w.is_finite() && w >= 0.0,
-                "Rng64::weighted_f64: weights must be finite and non-negative, got {w}"
-            );
-            total += w;
-        }
-        if total <= 0.0 {
-            return self.index(weights.len());
-        }
-        // 53 uniform bits in [0, 1), the full precision of an f64 mantissa.
-        let unit = (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64;
-        let mut x = unit * total;
-        let mut last_nonzero = 0;
-        for (i, &w) in weights.iter().enumerate() {
-            if w > 0.0 {
-                if x < w {
-                    return i;
-                }
-                last_nonzero = i;
-            }
-            x -= w;
-        }
-        // Float prefix-sum round-off can leave a sliver past the last
-        // positive weight; land on it rather than a zero-weight entry.
-        last_nonzero
     }
 }
 
@@ -359,17 +302,6 @@ mod tests {
     }
 
     #[test]
-    fn choose_handles_empty_and_matches_pick_semantics() {
-        let mut r = Rng64::new(21);
-        let empty: [u8; 0] = [];
-        assert_eq!(r.choose(&empty), None);
-        let items = [10, 20, 30];
-        for _ in 0..100 {
-            assert!(items.contains(r.choose(&items).unwrap()));
-        }
-    }
-
-    #[test]
     fn shuffle_is_a_deterministic_permutation() {
         let mut a: Vec<u32> = (0..32).collect();
         let mut b: Vec<u32> = (0..32).collect();
@@ -403,48 +335,5 @@ mod tests {
     #[should_panic(expected = "non-zero sum")]
     fn weighted_all_zero_panics_with_clear_message() {
         Rng64::new(0).weighted(&[0, 0]);
-    }
-
-    #[test]
-    fn weighted_f64_never_picks_zero_weights_and_tracks_proportions() {
-        let mut r = Rng64::new(77);
-        let mut counts = [0u32; 4];
-        for _ in 0..4000 {
-            counts[r.weighted_f64(&[0.0, 0.5, 0.0, 1.5])] += 1;
-        }
-        assert_eq!(counts[0], 0);
-        assert_eq!(counts[2], 0);
-        assert!(counts[3] > counts[1], "weight 1.5 beats weight 0.5");
-        assert!(counts[1] > 0);
-    }
-
-    #[test]
-    fn weighted_f64_all_zero_falls_back_to_uniform() {
-        let mut r = Rng64::new(5);
-        let mut seen = [false; 3];
-        for _ in 0..256 {
-            seen[r.weighted_f64(&[0.0, 0.0, 0.0])] = true;
-        }
-        assert_eq!(seen, [true, true, true]);
-    }
-
-    #[test]
-    fn weighted_f64_is_deterministic() {
-        let w = [0.25, 1.0, 2.25, 0.125];
-        let a: Vec<usize> = {
-            let mut r = Rng64::new(9);
-            (0..64).map(|_| r.weighted_f64(&w)).collect()
-        };
-        let b: Vec<usize> = {
-            let mut r = Rng64::new(9);
-            (0..64).map(|_| r.weighted_f64(&w)).collect()
-        };
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    #[should_panic(expected = "finite and non-negative")]
-    fn weighted_f64_rejects_negative_weights() {
-        Rng64::new(0).weighted_f64(&[1.0, -0.5]);
     }
 }

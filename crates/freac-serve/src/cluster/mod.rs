@@ -546,11 +546,6 @@ impl Cluster {
                 continue;
             };
             let conversion = sh.server.rescale(to, now)?;
-            // The rescaled shard rebuilt its fabric: flush the router's
-            // ranking memo so placement state is recomputed against the new
-            // topology (decisions are unchanged — rankings are pure — but
-            // the cache must not outlive the shard set it was keyed on).
-            self.router.invalidate();
             self.probes.inc(if up {
                 "cluster.autoscale.up"
             } else {
@@ -596,11 +591,6 @@ impl Cluster {
             let si = self.router.route(p.kernel as usize, &self.backlogs);
             self.probes.inc(&self.route_keys[si]);
             self.shards[si].inbox.push(p);
-        }
-        let (hits, misses) = self.router.take_cache_stats();
-        if hits + misses > 0 {
-            self.probes.add("cluster.route.cache.hits", hits);
-            self.probes.add("cluster.route.cache.misses", misses);
         }
         Ok(())
     }
@@ -1045,61 +1035,6 @@ mod tests {
             .flat_map(|(a, b)| [a, b])
             .collect();
         assert_eq!(merged, interleaved);
-    }
-
-    #[test]
-    fn route_cache_hits_dominate_and_rescale_invalidates() {
-        // Affinity routing over a long single-kernel trace: one miss per
-        // kernel, hits for everything else.
-        let mut cluster = cluster_with(ClusterConfig {
-            shards: 2,
-            ..ClusterConfig::default()
-        });
-        for r in trace(64, 200_000) {
-            cluster.submit(r).unwrap();
-        }
-        let rep = cluster.run_to_completion().unwrap();
-        assert_eq!(rep.probes.counter("cluster.route.cache.misses"), 1);
-        assert_eq!(rep.probes.counter("cluster.route.cache.hits"), 63);
-
-        // An autoscale rescale flushes the memo: a burst builds backlog,
-        // the autoscaler converts ways (invalidating the cache), and a
-        // second burst routed afterwards misses again.
-        let mut cluster = cluster_with(ClusterConfig {
-            shards: 1,
-            autoscale: Some(AutoscaleConfig {
-                high_backlog: 8,
-                up_epochs: 1,
-                ..AutoscaleConfig::default()
-            }),
-            shard: ServeConfig {
-                partition: freac_core::SlicePartition::new(4, 10, 6).unwrap(),
-                slices: 1,
-                queue_depth: 512,
-                batching: false,
-                ..ServeConfig::default()
-            },
-            epoch_ps: 10_000,
-            ..ClusterConfig::default()
-        });
-        for r in trace(100, 0) {
-            cluster.submit(r).unwrap();
-        }
-        for i in 0..8u64 {
-            cluster
-                .submit(Request::new("a", 1000 + i, "k", 100_000_000, i))
-                .unwrap();
-        }
-        let rep = cluster.run_to_completion().unwrap();
-        assert!(
-            rep.probes.counter("cluster.autoscale.up") > 0,
-            "the burst must trigger an upscale for this test to be meaningful"
-        );
-        assert!(
-            rep.probes.counter("cluster.route.cache.misses") > 1,
-            "a rescale must invalidate the ranking cache (got {} misses)",
-            rep.probes.counter("cluster.route.cache.misses")
-        );
     }
 
     #[test]

@@ -34,14 +34,9 @@ pub(crate) struct Router {
     policy: RoutePolicy,
     shards: usize,
     rr_cursor: usize,
-    /// Per kernel id (the order of [`Router::add_kernel`] calls): the name
-    /// its ranking hashes, and the rendezvous ranking memoized per live
-    /// shard set — the live set is implicit (`self.shards` indices), and
-    /// [`Router::invalidate`] flushes the memo whenever a topology event
-    /// (shard rescale) changes what is resident where.
-    kernels: Vec<(String, Option<Vec<usize>>)>,
-    cache_hits: u64,
-    cache_misses: u64,
+    /// Per kernel id (the order of [`Router::add_kernel`] calls): its
+    /// rendezvous ranking over the `self.shards` indices.
+    rankings: Vec<Vec<usize>>,
 }
 
 impl Router {
@@ -51,60 +46,23 @@ impl Router {
             policy,
             shards,
             rr_cursor: 0,
-            kernels: Vec::new(),
-            cache_hits: 0,
-            cache_misses: 0,
+            rankings: Vec::new(),
         }
     }
 
-    /// Registers a kernel under the next dense id.
-    pub(crate) fn add_kernel(&mut self, name: &str) {
-        self.kernels.push((name.to_owned(), None));
-    }
-
-    /// The kernel's rendezvous ranking: shard indices sorted by descending
+    /// Registers a kernel under the next dense id and computes its
+    /// rendezvous ranking: shard indices sorted by descending
     /// per-`(kernel name, shard)` hash score (ascending index on score
-    /// ties), memoized per kernel.
-    fn ranking(&mut self, kernel: usize) -> &[usize] {
-        let shards = self.shards;
-        let (name, memo) = &mut self.kernels[kernel];
-        if memo.is_some() {
-            self.cache_hits += 1;
-        } else {
-            self.cache_misses += 1;
-        }
-        memo.get_or_insert_with(|| {
-            let seed = seed_from_name(name);
-            let mut scored: Vec<(u64, usize)> = (0..shards)
-                .map(|i| {
-                    let lane = (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-                    (Rng64::new(seed ^ lane).next_u64(), i)
-                })
-                .collect();
-            scored.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
-            scored.into_iter().map(|(_, i)| i).collect()
-        })
-    }
-
-    /// Flushes the ranking cache. Called on every shard rescale: the
-    /// rescaled shard rebuilds its fabric, so cached placement derived from
-    /// the previous live-shard state must be recomputed. (Rankings are a
-    /// pure function of `(kernel, shard count)`, so routing *decisions* are
-    /// unchanged — the flush keeps the memo honest about topology events
-    /// and is observable through the miss counter.)
-    pub(crate) fn invalidate(&mut self) {
-        for (_, memo) in &mut self.kernels {
-            *memo = None;
-        }
-    }
-
-    /// Drains the `(hits, misses)` ranking-cache tally accumulated since
-    /// the last call, for export as cluster counters.
-    pub(crate) fn take_cache_stats(&mut self) -> (u64, u64) {
-        let stats = (self.cache_hits, self.cache_misses);
-        self.cache_hits = 0;
-        self.cache_misses = 0;
-        stats
+    /// ties).
+    pub(crate) fn add_kernel(&mut self, name: &str) {
+        let seed = seed_from_name(name);
+        let score = |i: usize| {
+            let lane = (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            Rng64::new(seed ^ lane).next_u64()
+        };
+        let mut ranking: Vec<usize> = (0..self.shards).collect();
+        ranking.sort_by_key(|&i| (std::cmp::Reverse(score(i)), i));
+        self.rankings.push(ranking);
     }
 
     /// The shard the next request for kernel id `kernel` should land on,
@@ -118,7 +76,7 @@ impl Router {
                 s
             }
             RoutePolicy::KernelAffinity { spill_depth } => {
-                let ranking = self.ranking(kernel);
+                let ranking = &self.rankings[kernel];
                 for &s in ranking {
                     if backlogs[s] < spill_depth {
                         return s;
@@ -210,42 +168,6 @@ mod tests {
         let mut all_deep = vec![9usize; 3];
         all_deep[spill] = 7;
         assert_eq!(r.route(0, &all_deep), spill);
-    }
-
-    #[test]
-    fn ranking_cache_hits_after_first_route_and_misses_after_invalidate() {
-        let mut r = router(
-            RoutePolicy::KernelAffinity { spill_depth: 8 },
-            4,
-            &["aes", "gemm"],
-        );
-        let backlogs = [0usize; 4];
-        for _ in 0..5 {
-            r.route(0, &backlogs);
-            r.route(1, &backlogs);
-        }
-        let (hits, misses) = r.take_cache_stats();
-        assert_eq!(misses, 2, "one ranking computed per kernel");
-        assert_eq!(hits, 8, "every later route reuses the memo");
-        // The drain resets the tally.
-        assert_eq!(r.take_cache_stats(), (0, 0));
-        // A topology event flushes the memo: the same kernels miss again,
-        // and recompute to the same placement (rankings are pure).
-        let before: Vec<usize> = (0..2).map(|k| r.route(k, &backlogs)).collect();
-        r.invalidate();
-        let after: Vec<usize> = (0..2).map(|k| r.route(k, &backlogs)).collect();
-        assert_eq!(before, after, "invalidation must not change placement");
-        let (_, misses) = r.take_cache_stats();
-        assert_eq!(misses, 2, "post-invalidate routes recompute the rankings");
-    }
-
-    #[test]
-    fn round_robin_never_touches_the_ranking_cache() {
-        let mut r = router(RoutePolicy::RoundRobin, 3, &["aes"]);
-        for _ in 0..6 {
-            r.route(0, &[0, 0, 0]);
-        }
-        assert_eq!(r.take_cache_stats(), (0, 0));
     }
 
     #[test]

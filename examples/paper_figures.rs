@@ -18,6 +18,27 @@
 use freac::experiments as exp;
 use freac::probe;
 
+/// The artefacts printed, in order, each under a `harness.<name>` probe
+/// span. Of the ablations only netlist optimization and LLC inclusion
+/// run; with the probe enabled the inclusion ablation also exports the
+/// cache-hierarchy and way-claim coherence counters, so the CI baseline
+/// diff covers back-invalidation and dirty-drop traffic.
+const SEQUENCE: &[&str] = &[
+    "table1",
+    "table2",
+    "area",
+    "fig08",
+    "fig09",
+    "fig10",
+    "fig11",
+    "fig12",
+    "fig13",
+    "fig14",
+    "fig15",
+    "opt_ablation",
+    "inclusion_ablation",
+];
+
 /// Runs `f` under a wall-clock probe span named `harness.<name>` — a
 /// Begin/End pair in the trace plus a `wall_us` histogram entry. Free
 /// when the probe is disabled.
@@ -35,45 +56,11 @@ fn main() {
     // Stderr, so the figure output on stdout stays byte-identical across
     // worker counts.
     eprintln!("paper_figures: {} worker(s)", exp::parallel::worker_count());
-    println!("{}", exp::tables::table1());
-    println!("{}", exp::tables::table2());
-    println!("{}", timed("area", exp::area::area_report));
-    println!("{}", timed("fig08", || exp::fig08::run().table()));
-    println!("{}", timed("fig09", || exp::fig09::run().table()));
-    println!("{}", timed("fig10", || exp::fig10::run().table()));
-    println!("{}", timed("fig11", || exp::fig11::run().table()));
-
-    let f12 = timed("fig12", exp::fig12::run);
-    println!("{}", f12.speedup_table());
-    println!("{}", f12.power_table());
-    println!("{}", f12.perf_per_watt_table());
-    let (vs1, vs8, ppw) = f12.geomeans();
-    println!(
-        "Fig. 12 geomeans: {vs1:.2}x vs 1 thread, {vs8:.2}x vs 8 threads, {ppw:.2}x perf/W vs 8 threads"
-    );
-    println!("                  (paper: 8.2x, 3x, 6.1x)\n");
-
-    println!("{}", timed("fig13", || exp::fig13::run().table()));
-
-    let f14 = timed("fig14", exp::fig14::run);
-    println!("{}", f14.table());
-    let (vs_ec8, vs_ec16) = f14.geomean_advantage();
-    println!("Fig. 14 geomeans: FReaC is {vs_ec8:.2}x vs 8 ECs, {vs_ec16:.2}x vs 16 ECs (paper: ~4x, ~2x)\n");
-
-    println!("{}", timed("fig15", || exp::fig15::run().table()));
-
-    println!(
-        "{}",
-        timed("opt_ablation", || exp::ablations::netlist_opt().table())
-    );
-
-    // Inclusion-policy ablation; with the probe enabled it also exports
-    // the cache-hierarchy and way-claim coherence counters, so the CI
-    // baseline diff covers back-invalidation and dirty-drop traffic.
-    println!(
-        "{}",
-        timed("inclusion_ablation", || exp::ablations::inclusion().table())
-    );
+    for &name in SEQUENCE {
+        for artefact in exp::artefacts::select(name) {
+            println!("{}", timed(name, artefact.render));
+        }
+    }
 
     // Flush observability output (no-op unless FREAC_TRACE/FREAC_METRICS).
     exp::runner::export_probe_stats();
